@@ -10,10 +10,6 @@ serving requests/sec through ``repro.serving`` (pool + micro-batching
 service, float32 serving mode) at client concurrency 1/4/16 for worker
 pools of 1 and 2 threads, against sequential per-sample baselines on
 the graph path (the naive serving baseline) and the no-grad path.
-The ``kernels`` section benchmarks the conv execution strategies
-(im2col / tap-gemm / single-gemm, see :mod:`repro.nn.kernels`) and the
-sub-f32 serving dtypes (float16 storage quantization, int8 experiment)
-on both the 6x6 benchmark geometry and the 16x16 paper-scale grid.
 The ``network`` section measures the same artifact behind the three
 deployment shapes (in-process service, HTTP loopback via the
 ``NetworkServer`` + ``RemoteForecastService`` client SDK, and a
@@ -88,16 +84,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed-seconds", type=float, default=SEED_REFERENCE["epoch_seconds"])
     parser.add_argument("--no-float32", action="store_true", help="skip the float32 mode column")
-    parser.add_argument(
-        "--kernel-rows",
-        type=int,
-        default=16,
-        help="rows of the second (paper-scale) kernel benchmark geometry",
-    )
-    parser.add_argument("--kernel-cols", type=int, default=16)
-    parser.add_argument(
-        "--kernel-channels", type=int, default=32, help="conv channels for kernel timings"
-    )
     parser.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_perf.json")
     args = parser.parse_args(argv)
 
@@ -106,21 +92,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     budget = ExperimentBudget(window=args.window, train_limit=args.train_limit, seed=0)
     seed_reference = dict(SEED_REFERENCE, epoch_seconds=args.seed_seconds)
-
-    # Kernel strategies are benchmarked on the reduced geometry AND the
-    # 16x16 paper-scale grid: the auto-dispatch table's f32 threshold only
-    # trips at paper scale, so both points are needed to defend it.
-    kernel_datasets = [dataset]
-    if (args.kernel_rows, args.kernel_cols) != (args.rows, args.cols):
-        kernel_datasets.append(
-            load_city(
-                "nyc",
-                rows=args.kernel_rows,
-                cols=args.kernel_cols,
-                num_days=args.num_days,
-                seed=0,
-            )
-        )
 
     payload = measure_perf(
         dataset,
@@ -134,8 +105,6 @@ def main(argv: list[str] | None = None) -> int:
         serving_concurrency=tuple(args.serving_concurrency),
         serving_max_batch=args.serving_max_batch,
         serving_workers=tuple(args.serving_workers),
-        kernel_datasets=kernel_datasets,
-        kernel_channels=args.kernel_channels,
         network_concurrency=args.network_concurrency,
         network_process_workers=args.network_process_workers,
     )
@@ -179,45 +148,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(format_table(headers, rows, float_format="{:.2f}"))
     print()
-    for block in payload["kernels"]["geometries"]:
-        geometry = f"{block['rows']}x{block['cols']}"
-        headers = ["Op", "dtype", "Strategy", "Per call (ms)", "vs im2col"]
-        rows = []
-        for e in block["conv"]:
-            key = f"{e['op']}_{e['dtype']}_{e['strategy']}_vs_im2col"
-            speedup = block["speedups"].get(key)
-            rows.append(
-                [
-                    e["op"],
-                    e["dtype"],
-                    e["strategy"],
-                    e["per_call_ms"],
-                    f"{speedup:.2f}x" if speedup is not None else "-",
-                ]
-            )
-        print(
-            f"conv kernels ({geometry}, batch={block['batch_size']}, "
-            f"channels={block['channels']})"
-        )
-        print(format_table(headers, rows, float_format="{:.3f}"))
-        for name, value in block["auto_strategy"].items():
-            if not name.endswith("_best"):
-                print(f"  auto[{name}] = {value}")
-        headers = ["Mode", "served_dtype", "Strategy", "Predictions/s", "MAE delta (rel)", "Gate"]
-        serving_rows = [
-            [
-                e["mode"],
-                e["served_dtype"],
-                e["conv_strategy"],
-                e["predictions_per_sec"],
-                f"{e['mae_delta_rel']:.2e}",
-                "ok" if e.get("within_gate", True) else "FAIL",
-            ]
-            for e in block["serving_dtypes"]["entries"]
-        ]
-        print(f"serving dtypes ({geometry})")
-        print(format_table(headers, serving_rows, float_format="{:.2f}"))
-        print()
     network = payload["network"]
     headers = ["Mode", "Transport", "Workers", "Concurrency", "Requests/s"]
     rows = [
@@ -233,13 +163,6 @@ def main(argv: list[str] | None = None) -> int:
     for section in ("training", "inference", "serving", "network"):
         for name, value in payload[section]["speedups"].items():
             print(f"{section}.{name}: {value:.2f}x")
-    for block in payload["kernels"]["geometries"]:
-        geometry = f"{block['rows']}x{block['cols']}"
-        for name, value in block["speedups"].items():
-            if name.endswith("_best_vs_im2col"):
-                print(f"kernels[{geometry}].{name}: {value:.2f}x")
-        for name, value in block["serving_dtypes"]["speedups"].items():
-            print(f"kernels[{geometry}].serving.{name}: {value:.2f}x")
     print(f"\nwrote {args.out}")
     return 0
 

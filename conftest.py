@@ -19,12 +19,6 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
-        "kernel_equiv: conv kernel-dispatch contracts (cross-strategy "
-        "equivalence, per-strategy gradcheck, workspace footprints; runs as "
-        "its own CI step — select with -m kernel_equiv)",
-    )
-    config.addinivalue_line(
-        "markers",
         "network: E2E network-edge suite (real asyncio HTTP server on an "
         "ephemeral port + process workers; every test runs under a SIGALRM "
         "watchdog so a hung socket cannot wedge the pipeline — select with "

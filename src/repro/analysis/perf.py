@@ -3,7 +3,7 @@
 ST-HSL's efficiency study (paper Table V) compares architectures; this
 module instead tracks *our implementation's* throughput over time so
 every PR can defend a perf trajectory.  Schema ``repro.perf/v6`` records
-five sections:
+four sections:
 
 * ``training`` — windows/sec and epoch wall-clock for the batched
   execution path at several batch sizes, the per-sample fallback path,
@@ -26,15 +26,6 @@ five sections:
   served dtype + cross-request micro-batching + load amortisation —
   plus, on multi-core hosts, parallel workers (each predicting under
   its own thread-local execution context);
-* ``kernels`` (new in v5) — per-geometry convolution-strategy timings
-  (im2col vs tap_gemm vs single_gemm, per op and dtype, on the batched
-  no-grad inference path) and the sub-f32 serving-dtype sweep
-  (float32 auto-kernels / float16 / experimental int8 against a pinned
-  float32-im2col baseline row), each serving row carrying its MAE delta
-  against native-f64 predictions and a relative accuracy gate
-  (:data:`KERNEL_MAE_GATES`) so speed never silently costs accuracy.
-  Run at both the 6x6 toy grid and the 16x16 paper-scale grid by
-  ``benchmarks/perf/run_all.py``;
 * ``network`` (new in v6) — requests/sec for the same artifact behind
   three deployment shapes at one client concurrency: ``local`` (the
   in-process :class:`~repro.serving.ForecastService`, the wire-tax
@@ -69,11 +60,9 @@ from ..training import Trainer, WindowDataset
 from .experiment import ExperimentBudget, make_sthsl
 
 __all__ = [
-    "KERNEL_MAE_GATES",
     "PERF_SCHEMA",
     "drive_clients",
     "enable_fast_alloc",
-    "measure_kernels",
     "measure_network",
     "measure_perf",
     "measure_inference",
@@ -84,24 +73,13 @@ __all__ = [
 
 PERF_SCHEMA = "repro.perf/v6"
 
-#: Relative MAE gates for the sub-f32 serving rows: mean |prediction
-#: delta| vs the native-f64 forecaster, divided by the mean |f64
-#: prediction|.  float16 weight rounding must stay within 0.5%; the
-#: experimental int8 row gets the looser post-training-quantization
-#: budget.  The perf smoke test fails the build when a recorded row
-#: exceeds its gate.
-KERNEL_MAE_GATES = {"float16": 0.005, "int8": 0.05}
-
 _REQUIRED_TRAINING_KEYS = {"mode", "dtype", "batch_size", "epoch_seconds", "windows_per_sec"}
 _REQUIRED_INFERENCE_KEYS = {"path", "dtype", "batch_size", "seconds", "predictions_per_sec"}
 _REQUIRED_SEQUENTIAL_KEYS = {"path", "dtype", "requests_per_sec"}
 _REQUIRED_SERVICE_KEYS = {"workers", "concurrency", "requests_per_sec", "mean_batch"}
-_REQUIRED_KERNEL_CONV_KEYS = {"op", "dtype", "strategy", "calls", "seconds", "per_call_ms"}
-_REQUIRED_KERNEL_SERVING_KEYS = {"mode", "served_dtype", "predictions_per_sec", "mae_delta", "mae_delta_rel"}
 _REQUIRED_NETWORK_KEYS = {"mode", "concurrency", "requests_per_sec"}
 _INFERENCE_PATHS = ("graph", "no_grad", "batched")
 _SEQUENTIAL_PATHS = ("graph", "no_grad")
-_KERNEL_SERVING_MODES = ("float32_baseline_im2col", "float32", "float16", "int8")
 _NETWORK_MODES = ("local", "remote", "process_workers")
 
 
@@ -403,186 +381,6 @@ def measure_serving(
     }
 
 
-def measure_kernels(
-    dataset: CrimeDataset,
-    budget: ExperimentBudget,
-    batch_size: int = 4,
-    channels: int = 32,
-    serving_windows: int = 32,
-    reps: int = 5,
-) -> dict:
-    """Conv-strategy and serving-dtype benchmarks for one grid geometry.
-
-    Returns one geometry block of the ``kernels`` payload section, two
-    halves:
-
-    * ``conv`` — each registered convolution strategy timed on the
-      batched no-grad inference path (arena active, like ``predict``)
-      for conv2d/conv1d x float64/float32, on the model-hot shapes:
-      conv2d sees ``N = batch * window`` frames of ``channels`` maps over
-      the ``rows x cols`` grid (the spatial hypergraph conv regime),
-      conv1d sees ``N = batch * regions`` rows of length ``window`` (the
-      temporal conv regime).  ``speedups`` records each alternative
-      strategy against im2col plus the ``*_best_vs_im2col`` headline the
-      smoke floor tracks; ``auto_strategy`` records what the dispatch
-      table actually picks for each (op, dtype) at this geometry.
-    * ``serving_dtypes`` — end-to-end ``predict_batch`` throughput of a
-      saved-and-reloaded artifact at each serving mode: the pinned
-      ``float32_baseline_im2col`` row (the pre-kernel-dispatch serving
-      path), float32 under auto kernel dispatch, ``served_dtype=
-      "float16"`` (f16-rounded weights, f32 compute), and the
-      experimental ``int8_weights`` row.  Every row carries its MAE
-      delta against the native-float64 forecaster, absolute and relative
-      to the mean |f64 prediction|, judged against
-      :data:`KERNEL_MAE_GATES`.
-
-    Timings are best-of-``reps`` over a calibrated number of calls per
-    rep (small geometries loop more so every measurement spans a few
-    tens of milliseconds).
-    """
-    from .. import nn
-    from ..api import Forecaster
-    from ..api.registry import ModelGeometry
-
-    rows, cols = dataset.grid.rows, dataset.grid.cols
-    num_regions = rows * cols
-    window = budget.window
-    rng = np.random.default_rng(0)
-
-    # ----- conv-strategy half -----
-    n2 = batch_size * window
-    x2_base = rng.standard_normal((n2, channels, rows, cols))
-    w2_base = rng.standard_normal((channels, channels, 3, 3))
-    n1 = batch_size * num_regions
-    x1_base = rng.standard_normal((n1, channels, window))
-    w1_base = rng.standard_normal((channels, channels, 3))
-
-    arena = nn.BufferArena()
-    conv_entries: list[dict] = []
-    auto_strategy: dict[str, str] = {}
-    speedups: dict[str, float] = {}
-    strategies = nn.CONV_STRATEGIES
-
-    for op, x_base, w_base, conv_fn in (
-        ("conv2d", x2_base, w2_base, nn.conv2d),
-        ("conv1d", x1_base, w1_base, nn.conv1d),
-    ):
-        # Loop count sized so one timed rep covers ~3M input elements —
-        # keeps small-geometry measurements out of timer-resolution noise.
-        calls = max(1, int(3_000_000 // max(1, x_base.size)))
-        for dtype_name in ("float64", "float32"):
-            x = nn.Tensor(x_base.astype(dtype_name))
-            w = nn.Tensor(w_base.astype(dtype_name))
-            out_spatial = n2 * num_regions if op == "conv2d" else n1 * window
-            auto_strategy[f"{op}_{dtype_name}"] = nn.resolve_conv_strategy(
-                op, dtype_name, out_spatial
-            )
-            per_strategy: dict[str, float] = {}
-            for strategy in strategies:
-
-                def run() -> None:
-                    with nn.no_grad(), nn.use_arena(arena), nn.conv_strategy(strategy):
-                        for _ in range(calls):
-                            conv_fn(x, w, padding=1)
-
-                elapsed = _timed_call(run, reps)
-                per_strategy[strategy] = elapsed
-                conv_entries.append(
-                    {
-                        "op": op,
-                        "dtype": dtype_name,
-                        "strategy": strategy,
-                        "input_shape": list(x_base.shape),
-                        "calls": calls,
-                        "seconds": round(elapsed, 5),
-                        "per_call_ms": round(elapsed / calls * 1e3, 4),
-                    }
-                )
-            baseline = per_strategy["im2col"]
-            best_strategy = min(per_strategy, key=per_strategy.get)
-            for strategy in strategies:
-                if strategy != "im2col":
-                    speedups[f"{op}_{dtype_name}_{strategy}_vs_im2col"] = round(
-                        baseline / per_strategy[strategy], 3
-                    )
-            speedups[f"{op}_{dtype_name}_best_vs_im2col"] = round(
-                baseline / per_strategy[best_strategy], 3
-            )
-            auto_strategy[f"{op}_{dtype_name}_best"] = best_strategy
-
-    # ----- serving-dtype half -----
-    serving_fc = Forecaster("ST-HSL", budget=budget, hidden=8)
-    serving_fc.geometry = ModelGeometry.of(dataset)
-    serving_fc.model = make_sthsl(dataset, budget)
-    serving_fc.mu = float(dataset.mu)
-    serving_fc.sigma = float(dataset.sigma)
-    serving_fc.categories = dataset.categories
-    windows = WindowDataset(dataset, window=window)
-    samples = list(windows.samples("train"))[: max(1, serving_windows)]
-    raw = np.stack(
-        [dataset.tensor[:, sample.day - window : sample.day, :] for sample in samples]
-    )
-
-    serving_entries: list[dict] = []
-    serving_rates: dict[str, float] = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        artifact_path = Path(tmp) / "kernel_bench.npz"
-        serving_fc.save(artifact_path)
-        reference = serving_fc.predict_batch(raw)  # native float64
-        ref_scale = float(np.abs(reference).mean()) + 1e-12
-        rounds = (
-            ("float32_baseline_im2col", {"served_dtype": "float32"}, "im2col"),
-            ("float32", {"served_dtype": "float32"}, "auto"),
-            ("float16", {"served_dtype": "float16"}, "auto"),
-            ("int8", {"served_dtype": "float32", "int8_weights": True}, "auto"),
-        )
-        for mode, load_kwargs, strategy in rounds:
-            loaded = Forecaster.load(artifact_path, **load_kwargs)
-            with nn.conv_strategy(strategy):
-                elapsed = _timed_call(lambda: loaded.predict_batch(raw), reps)
-                predictions = loaded.predict_batch(raw)
-            mae_delta = float(np.abs(predictions - reference).mean())
-            rate = len(raw) / elapsed
-            serving_rates[mode] = rate
-            gate = KERNEL_MAE_GATES.get(mode)
-            entry = {
-                "mode": mode,
-                "served_dtype": loaded.served_dtype,
-                "conv_strategy": strategy,
-                "predictions_per_sec": round(rate, 2),
-                "mae_delta": round(mae_delta, 8),
-                "mae_delta_rel": round(mae_delta / ref_scale, 8),
-            }
-            if gate is not None:
-                entry["mae_gate_rel"] = gate
-                entry["within_gate"] = bool(mae_delta / ref_scale <= gate)
-            if mode == "int8":
-                entry["experimental"] = True
-            serving_entries.append(entry)
-
-    baseline_rate = serving_rates["float32_baseline_im2col"]
-    serving_speedups = {
-        f"{mode}_vs_float32_baseline": round(serving_rates[mode] / baseline_rate, 3)
-        for mode in ("float32", "float16", "int8")
-    }
-
-    return {
-        "rows": rows,
-        "cols": cols,
-        "window": window,
-        "batch_size": batch_size,
-        "channels": channels,
-        "conv": conv_entries,
-        "auto_strategy": auto_strategy,
-        "speedups": speedups,
-        "serving_dtypes": {
-            "num_windows": len(raw),
-            "entries": serving_entries,
-            "speedups": serving_speedups,
-        },
-    }
-
-
 def measure_network(
     artifact_path: str | Path,
     windows: np.ndarray,
@@ -713,8 +511,6 @@ def measure_perf(
     serving_concurrency: Sequence[int] = (1, 4, 16),
     serving_max_batch: int = 4,
     serving_workers: Sequence[int] = (1, 2),
-    kernel_datasets: Sequence[CrimeDataset] | None = None,
-    kernel_channels: int = 32,
     network_concurrency: int = 4,
     network_process_workers: int = 2,
 ) -> dict:
@@ -740,11 +536,6 @@ def measure_perf(
     bench model and served through the pool + service stack at each
     ``serving_concurrency`` level for each ``serving_workers`` pool
     size.
-
-    The kernels section (see :func:`measure_kernels`) runs once per
-    dataset in ``kernel_datasets`` — pass the bench dataset plus a
-    paper-scale 16x16 one to record both geometries, as
-    ``benchmarks/perf/run_all.py`` does; defaults to just ``dataset``.
 
     The network section (see :func:`measure_network`) serves the same
     artifact behind the in-process service, a live loopback
@@ -865,18 +656,6 @@ def measure_perf(
             process_workers=network_process_workers,
         )
 
-    # ----- Kernels section -----
-    kernel_blocks = [
-        measure_kernels(
-            kernel_dataset,
-            budget,
-            batch_size=infer_batch,
-            channels=kernel_channels,
-            reps=reps,
-        )
-        for kernel_dataset in (kernel_datasets if kernel_datasets is not None else [dataset])
-    ]
-
     payload = {
         "schema": PERF_SCHEMA,
         "geometry": {
@@ -894,7 +673,6 @@ def measure_perf(
             "speedups": inference_speedups,
         },
         "serving": serving,
-        "kernels": {"geometries": kernel_blocks},
         "network": network,
     }
     if seed_reference is not None:
@@ -960,58 +738,6 @@ def _validate_serving(section) -> None:
         raise ValueError("serving.speedups must be positive numbers")
 
 
-def _validate_kernels(section) -> None:
-    from ..nn.kernels import CONV_STRATEGIES
-
-    if not isinstance(section, dict):
-        raise ValueError("kernels must be a mapping")
-    if "geometries" not in section:
-        raise ValueError("kernels missing key 'geometries'")
-    blocks = section["geometries"]
-    if not isinstance(blocks, list) or not blocks:
-        raise ValueError("kernels.geometries must be a non-empty list")
-    for block in blocks:
-        for key in ("rows", "cols", "conv", "auto_strategy", "speedups", "serving_dtypes"):
-            if key not in block:
-                raise ValueError(f"kernels geometry block missing key {key!r}")
-        if not isinstance(block["conv"], list) or not block["conv"]:
-            raise ValueError("kernels conv timings must be a non-empty list")
-        for entry in block["conv"]:
-            missing = _REQUIRED_KERNEL_CONV_KEYS - set(entry)
-            if missing:
-                raise ValueError(f"kernels conv entry missing keys {sorted(missing)}")
-            if entry["op"] not in ("conv2d", "conv1d"):
-                raise ValueError(f"unknown kernels conv op {entry['op']!r}")
-            if entry["dtype"] not in ("float32", "float64"):
-                raise ValueError(f"unknown dtype {entry['dtype']!r}")
-            if entry["strategy"] not in CONV_STRATEGIES:
-                raise ValueError(f"unknown conv strategy {entry['strategy']!r}")
-            if not entry["seconds"] > 0 or not entry["per_call_ms"] > 0:
-                raise ValueError("kernels conv timings must be positive")
-        if not all(
-            isinstance(v, (int, float)) and v > 0 for v in block["speedups"].values()
-        ):
-            raise ValueError("kernels.speedups must be positive numbers")
-        serving = block["serving_dtypes"]
-        if not isinstance(serving, dict) or not serving.get("entries"):
-            raise ValueError("kernels.serving_dtypes.entries must be non-empty")
-        for entry in serving["entries"]:
-            missing = _REQUIRED_KERNEL_SERVING_KEYS - set(entry)
-            if missing:
-                raise ValueError(f"kernels serving entry missing keys {sorted(missing)}")
-            if entry["mode"] not in _KERNEL_SERVING_MODES:
-                raise ValueError(f"unknown kernels serving mode {entry['mode']!r}")
-            if not entry["predictions_per_sec"] > 0:
-                raise ValueError("kernels serving rates must be positive")
-            if entry["mae_delta"] < 0 or entry["mae_delta_rel"] < 0:
-                raise ValueError("kernels serving MAE deltas must be non-negative")
-            if "within_gate" in entry and not entry["within_gate"]:
-                raise ValueError(
-                    f"kernels serving mode {entry['mode']!r} exceeds its MAE gate: "
-                    f"{entry['mae_delta_rel']} > {entry.get('mae_gate_rel')}"
-                )
-
-
 def _validate_network(section) -> None:
     if not isinstance(section, dict):
         raise ValueError("network must be a mapping")
@@ -1040,17 +766,15 @@ def _validate_network(section) -> None:
 def validate_perf_payload(payload: dict) -> None:
     """Raise ``ValueError`` if ``payload`` does not match the v6 perf schema.
 
-    The kernels section's accuracy gates are enforced here too: a payload
-    recording a float16/int8 serving row outside its MAE gate is invalid,
-    not merely slow — and the network section must record all three
-    deployment shapes (local, remote, process_workers).
+    The network section must record all three deployment shapes (local,
+    remote, process_workers).
     """
     if payload.get("schema") != PERF_SCHEMA:
         raise ValueError(
             f"unexpected schema tag: {payload.get('schema')!r} (expected {PERF_SCHEMA}; "
             "re-run benchmarks/perf/run_all.py to regenerate pre-v6 payloads)"
         )
-    for key in ("geometry", "training", "inference", "serving", "kernels", "network"):
+    for key in ("geometry", "training", "inference", "serving", "network"):
         if key not in payload:
             raise ValueError(f"missing top-level key {key!r}")
     _validate_section(
@@ -1066,7 +790,6 @@ def validate_perf_payload(payload: dict) -> None:
         if entry["path"] not in _INFERENCE_PATHS:
             raise ValueError(f"unknown inference path {entry['path']!r}")
     _validate_serving(payload["serving"])
-    _validate_kernels(payload["kernels"])
     _validate_network(payload["network"])
 
 

@@ -26,13 +26,12 @@ from the file alone — no CLI flags to match:
 schema they do not understand instead of mis-reconstructing a model.
 Two fields are new in v2 (both may be ``null``):
 
-* ``served_dtype`` — the dtype the artifact asks to be *served* at
-  (``"float32"`` is the serving mode: the weights stay in their trained
-  dtype on disk, the loader rebuilds the model in the requested compute
-  dtype; ``"float16"`` additionally rounds the weights through IEEE
-  half — storage quantization, float32 compute, see
-  :mod:`repro.nn.quantize`).  ``null`` means "serve at the model's
-  native dtype".
+* ``served_dtype`` — the dtype the artifact asks to be *served* at,
+  ``"float32"`` or ``"float64"`` (the weights stay in their trained
+  dtype on disk; the loader rebuilds the model in the requested compute
+  dtype).  ``null`` means "serve at the model's native dtype".  A stored
+  ``"float16"`` (a retired mode that always computed in float32) reads
+  as ``"float32"``.
 * ``shard`` — region-shard metadata when the artifact covers one row
   band of a larger parent grid (see :class:`repro.serving.ShardRouter`).
   ``null`` for whole-grid artifacts.
@@ -71,11 +70,7 @@ ARTIFACT_SCHEMA = "repro.artifact/v2"
 
 _REQUIRED_KEYS = ("schema", "model", "build", "geometry", "normalization", "categories")
 _V2_KEYS = ("served_dtype", "shard")
-# "float16" is storage quantization: loaders round the weights through
-# IEEE half and compute in float32 (numpy has no fast half kernels — see
-# repro.nn.quantize); "float32"/"float64" rebuild the model in that
-# compute dtype.
-_SERVED_DTYPES = ("float16", "float32", "float64")
+_SERVED_DTYPES = ("float32", "float64")
 _SHARD_KEYS = ("index", "count", "row_start", "row_stop", "parent")
 
 
@@ -197,8 +192,11 @@ def _v1_to_v2(manifest: dict) -> dict:
 def migrate(manifest: dict) -> dict:
     """Upgrade ``manifest`` to the current schema via registered steps.
 
-    Already-current manifests pass through unchanged; unknown schemas
-    (including *newer* ones) raise :class:`ArtifactError`.  Example::
+    Already-current manifests pass through unchanged, except that a
+    stored ``served_dtype: "float16"`` — a retired serving mode whose
+    weights always computed in float32 — maps to ``"float32"`` (no schema
+    bump).  Unknown schemas (including *newer* ones) raise
+    :class:`ArtifactError`.  Example::
 
         v1 = {"schema": "repro.artifact/v1", "model": "ST-HSL", ...}
         v2 = migrate(v1)
@@ -224,6 +222,8 @@ def migrate(manifest: dict) -> dict:
                 f"{sorted(_MIGRATIONS)}"
             )
         manifest = step(manifest)
+    if manifest.get("served_dtype") == "float16":
+        manifest = dict(manifest, served_dtype="float32")
     return manifest
 
 
@@ -288,7 +288,7 @@ def write_artifact(
     """Assemble a v2 manifest around ``state`` and write the artifact.
 
     ``served_dtype`` asks loaders to rebuild the model in that compute
-    dtype (serving quantization); ``shard`` marks a region-shard
+    dtype; ``shard`` marks a region-shard
     checkpoint (see :mod:`repro.serving.router`).  Returns the manifest
     that was written (handy for logging/tests)::
 

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from ..data.datasets import CrimeDataset
-from ..nn.quantize import quantize_state
 from ..training import Trainer, WindowDataset
 from ..training.evaluation import EvaluationResult
 from .artifacts import read_artifact, write_artifact
@@ -324,7 +323,6 @@ class Forecaster:
         path: str | Path,
         registry: ModelRegistry = REGISTRY,
         served_dtype: str | None = None,
-        int8_weights: bool = False,
     ) -> "Forecaster":
         """Reconstruct a working forecaster from an artifact alone.
 
@@ -336,20 +334,14 @@ class Forecaster:
         :class:`~repro.api.ArtifactError` on bare state-dict files or
         unknown schema versions.
 
-        ``served_dtype`` overrides the manifest's ``served_dtype`` field
-        (explicit argument > manifest > model native dtype).  Dtype
-        requests are best-effort: models whose builder does not accept a
-        ``compute_dtype`` override (most baselines) load at their native
-        dtype.  ``"float16"`` is storage quantization — the weights are
-        rounded through IEEE half but the model computes in float32,
-        because numpy's half kernels are software-emulated and ~10x
-        slower (see :mod:`repro.nn.quantize`).  ``int8_weights=True`` is
-        the experimental step below that: per-tensor symmetric int8
-        weight round-trip, composable with any ``served_dtype``.  The
-        perf harness gates the MAE delta of both.  Example::
+        ``served_dtype`` (``"float32"`` or ``"float64"``) overrides the
+        manifest's ``served_dtype`` field (explicit argument > manifest >
+        model native dtype).  Dtype requests are best-effort: models whose
+        builder does not accept a ``compute_dtype`` override (most
+        baselines) load at their native dtype.  Example::
 
-            fc = Forecaster.load("model.npz", served_dtype="float16")
-            assert fc.served_dtype == "float16"
+            fc = Forecaster.load("model.npz", served_dtype="float32")
+            assert fc.served_dtype == "float32"
         """
         artifact = read_artifact(path)
         build = artifact.build
@@ -364,9 +356,6 @@ class Forecaster:
         geometry = ModelGeometry.from_dict(artifact.geometry)
         forecaster.geometry = geometry
         requested = served_dtype if served_dtype is not None else artifact.served_dtype
-        # float16 serving = f16-rounded weights on a float32-compute model
-        # (numpy half arithmetic is emulated; the fast path is float32).
-        compute_request = "float32" if requested == "float16" else requested
         build_kwargs = dict(
             window=int(build["window"]),
             hidden=forecaster.hidden,
@@ -374,10 +363,10 @@ class Forecaster:
             **forecaster.overrides,
         )
         forecaster.model = None
-        if compute_request is not None and "compute_dtype" not in forecaster.overrides:
+        if requested is not None and "compute_dtype" not in forecaster.overrides:
             try:
                 forecaster.model = forecaster.spec.build(
-                    geometry, compute_dtype=compute_request, **build_kwargs
+                    geometry, compute_dtype=requested, **build_kwargs
                 )
                 forecaster.served_dtype = requested
             except TypeError:
@@ -385,12 +374,7 @@ class Forecaster:
                 forecaster.model = None
         if forecaster.model is None:
             forecaster.model = forecaster.spec.build(geometry, **build_kwargs)
-        state = artifact.state
-        if requested == "float16":
-            state = quantize_state(state, "float16")
-        if int8_weights:
-            state = quantize_state(state, "int8")
-        forecaster.model.load_state_dict(state)
+        forecaster.model.load_state_dict(artifact.state)
         forecaster.mu = float(artifact.normalization["mu"])
         forecaster.sigma = float(artifact.normalization["sigma"])
         forecaster.categories = artifact.categories

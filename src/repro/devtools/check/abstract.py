@@ -27,8 +27,8 @@ Transfer rules come in three layers:
    solver) consult ``__conv1d_transfer__`` / ``__conv2d_transfer__`` /
    ``__repro_map_series__`` on their input and use the summary we
    provide here.  The conv transfer rules intentionally restate the
-   output-geometry formulas from ``nn/kernels.py``; the shape-check
-   test suite holds the two in agreement for all three strategies.
+   output-geometry formulas of the ``nn/kernels.py`` conv kernel; the
+   shape-check test suite holds the two in agreement.
 
 The recorded :class:`Trace` doubles as a machine-readable op-sequence
 view of the forward pass (ROADMAP open item 5): each :class:`TraceOp`
@@ -338,8 +338,8 @@ class AbstractArray:
         return out
 
     def __conv2d_transfer__(self, weight, bias, stride, padding) -> "AbstractArray":
-        """Output geometry of conv2d — must agree with every kernels.py
-        strategy (im2col / tap_gemm / single_gemm all share it)."""
+        """Output geometry and dtype of conv2d — must agree with the
+        ``nn/kernels.py`` conv kernel behind :func:`repro.nn.conv2d`."""
         n, c_in, h, w = self.shape
         c_out, c_in_w, kh, kw = _shape_of(weight)
         if int(c_in) != int(c_in_w):

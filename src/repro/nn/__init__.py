@@ -6,11 +6,9 @@ reverse-mode autograd, conv/recurrent/attention layers, optimisers and
 checkpointing.  See DESIGN.md §2 for the substitution rationale.
 """
 
-from . import functional, init, kernels, quantize
+from . import functional, init, kernels
 from .arena import BufferArena, active_arena, use_arena
 from .context import ExecutionContext, execution_context
-from .kernels import CONV_STRATEGIES, conv_strategy, resolve_conv_strategy
-from .quantize import quantize_state
 from .layers import (
     GRU,
     BatchNorm2d,
@@ -93,14 +91,9 @@ __all__ = [
     "clip_grad_norm",
     "conv1d",
     "conv2d",
-    "CONV_STRATEGIES",
-    "conv_strategy",
-    "resolve_conv_strategy",
     "functional",
     "init",
     "kernels",
-    "quantize",
-    "quantize_state",
     "save_state",
     "load_state",
     "save_module",

@@ -136,10 +136,8 @@ class BufferArena:
 
         Returns ``{"buffers", "nbytes", "hits", "misses",
         "bytes_by_dtype"}`` where ``bytes_by_dtype`` maps dtype name to
-        the bytes held in that dtype (in-use + free).  This is what the
-        kernel tests use to compare peak workspace footprints across
-        conv strategies (tap-gemm must hold strictly fewer bytes than
-        im2col)::
+        the bytes held in that dtype (in-use + free) — the footprint of a
+        model's inference working set::
 
             with no_grad(), use_arena(arena):
                 model.predict(window)

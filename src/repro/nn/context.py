@@ -53,13 +53,7 @@ class ExecutionContext(threading.local):
       :class:`~repro.nn.arena.use_arena`);
     * ``default_dtype`` — the dtype new tensors are created with
       (toggled by :func:`~repro.nn.tensor.set_default_dtype` /
-      :class:`~repro.nn.tensor.dtype_scope`);
-    * ``conv_strategy`` — which convolution execution kernel
-      :mod:`repro.nn.ops` dispatches to (``"auto"`` selects per
-      dtype/geometry through the heuristic table; toggled by
-      :class:`~repro.nn.kernels.conv_strategy`);
-    * ``conv_rules`` — an override for the kernel auto-selection table,
-      or ``None`` for :data:`repro.nn.kernels.DEFAULT_AUTO_RULES`.
+      :class:`~repro.nn.tensor.dtype_scope`).
 
     Read it for introspection; mutate it through the public context
     managers rather than directly so scopes nest and restore correctly::
@@ -74,8 +68,6 @@ class ExecutionContext(threading.local):
         self.grad_enabled: bool = True
         self.arena = None  # BufferArena | None (untyped: avoids an import cycle)
         self.default_dtype: np.dtype = _FLOAT64
-        self.conv_strategy: str = "auto"
-        self.conv_rules = None  # tuple of rule rows | None (default table)
 
 
 #: The process-wide context object; attribute access resolves per thread.

@@ -4,7 +4,7 @@ These are composites of the primitive ops in :mod:`repro.nn.tensor`, so
 their gradients come for free from the autograd engine.  The convolution
 primitives are re-exported from :mod:`repro.nn.ops` for
 ``torch.nn.functional`` call-site parity (``F.conv2d(...)``); they
-dispatch through the kernel strategies in :mod:`repro.nn.kernels`.
+run the single-gemm kernel in :mod:`repro.nn.kernels`.
 """
 
 from __future__ import annotations

@@ -1,46 +1,21 @@
-"""Convolution execution kernels and the strategy-dispatch layer.
+"""The convolution kernel: batch-folded im2col contracted in one gemm.
 
-:mod:`repro.nn.ops` historically had exactly one way to run a
-convolution: im2col (materialize every kernel-tap slab into a patch
-workspace, then one broadcast gemm per sample).  That is a good default,
-but on the paper-scale grid the im2col *fill* is pure memory traffic —
-~40% of conv2d time — and the broadcast ``(C_out, K) @ (N, K, L)``
-matmul decomposes into ``N`` small BLAS calls whose launch overhead
-dominates on toy grids.  This module implements three interchangeable
-execution strategies and the dispatch layer that picks between them:
+Every :func:`~repro.nn.conv2d` and multi-channel
+:func:`~repro.nn.conv1d` call — training and inference, float32 and
+float64 — runs the forward kernel for its rank here.  The patch
+workspace is laid out ``(C_in, K, N, L)`` so that, read as a
+``(C_in*K, N*L)`` matrix, the whole batch contracts in ONE
+``(C_out, C_in*K) @ (C_in*K, N*L)`` gemm, followed by a single
+transpose to ``(N, C_out, L)``.  At stride 1 the patch fill reads
+straight from the *unpadded* input and writes the zero frame in place,
+so no padded copy is ever made.  :mod:`repro.nn.ops` back-propagates
+through the same folded layout: both gradients are again single gemms.
 
-``im2col``
-    The baseline: explicit padding, per-tap strided copies into an
-    ``(N, C*K, L)`` workspace, one broadcast gemm.  Best backward
-    (the saved workspace feeds the weight gradient directly), best
-    float32 forward on small grids.
-
-``tap_gemm``
-    Direct per-tap gemm: for every kernel tap, multiply ``weight[tap]``
-    against a *shifted view* of the input and accumulate — the im2col
-    workspace is never materialized, so peak workspace bytes drop by
-    ~``K``x (locked by the arena-stats test).  Pays one extra pass of
-    accumulation traffic per tap, which on this container's BLAS makes
-    it a memory-optimised rather than a throughput-optimised kernel.
-
-``single_gemm``
-    Batch-folded im2col: the patch matrix is laid out ``(C*K, N*L)`` —
-    filled straight from the *unpadded* input when ``stride == 1``
-    (zero frames written in place, no padding pass) — so the whole
-    batch contracts in ONE gemm instead of ``N``, followed by a single
-    output transpose.  Measured on this container it is the fastest
-    float64 kernel at both bench geometries (6x6 and 16x16) and the
-    fastest float32 kernel once ``N*L`` is large enough to amortise
-    the transpose.
-
-Strategy selection is thread-local state on the
-:class:`~repro.nn.context.ExecutionContext` (the :class:`conv_strategy`
-scope), defaulting to ``"auto"``: training always routes to ``im2col``
-(its saved workspace makes the cheapest backward), inference resolves
-through a first-match rule table (:data:`DEFAULT_AUTO_RULES`,
-overridable per scope) keyed on op, dtype and batch-spatial size.  All
-strategies are tolerance-equivalent, not bitwise: gemm summation order
-differs (locked by ``tests/nn/test_conv_kernels.py``).
+Workspaces come from the active :class:`~repro.nn.BufferArena` when
+``reuse`` is set (the no-grad path); during training the patch matrix
+must outlive the forward for the backward, so it is freshly allocated.
+Both operands must share one dtype — the gemms write into ``out=``
+buffers of that dtype (``ops`` promotes mixed calls first).
 """
 
 from __future__ import annotations
@@ -50,107 +25,9 @@ import numpy as np
 from .arena import request as _arena_request
 from .tensor import _padded
 
-__all__ = [
-    "CONV_STRATEGIES",
-    "ConvSaved",
-    "DEFAULT_AUTO_RULES",
-    "active_conv_strategy",
-    "conv1d_forward",
-    "conv2d_forward",
-    "conv_strategy",
-    "resolve_conv_strategy",
-]
-
-# Imported late-bound style to keep a single context object in play.
-from .context import _CONTEXT as _CTX
-
-#: The registered convolution execution strategies.
-CONV_STRATEGIES = ("im2col", "tap_gemm", "single_gemm")
-
-#: Auto-selection rule table: ``(op, dtype, min_batch_spatial, strategy)``
-#: rows, first match wins, fall-through is ``im2col``.  ``batch_spatial``
-#: is ``N * L`` (batch x output positions) — the gemm's folded column
-#: count, which is what decides whether single_gemm's output transpose
-#: amortises.  Thresholds measured on this container (see
-#: docs/architecture.md "Convolution kernels"): float64 wants the
-#: batch-folded gemm everywhere; float32 only once the fold is big
-#: enough (~8k columns, i.e. paper-scale grids, not the 6x6 toy).
-DEFAULT_AUTO_RULES = (
-    ("conv2d", "float64", 0, "single_gemm"),
-    ("conv1d", "float64", 0, "single_gemm"),
-    ("conv2d", "float32", 8192, "single_gemm"),
-)
+__all__ = ["conv1d_gemm", "conv2d_gemm"]
 
 
-def active_conv_strategy() -> str:
-    """The calling thread's requested strategy (``"auto"`` by default)."""
-    return _CTX.conv_strategy
-
-
-def resolve_conv_strategy(
-    op: str, dtype, batch_spatial: int, grad_enabled: bool = False
-) -> str:
-    """Resolve the strategy an ``op`` call should execute with.
-
-    An explicit :class:`conv_strategy` scope wins outright.  Under
-    ``"auto"``: training forwards resolve to ``im2col`` (the saved patch
-    workspace makes the cheapest weight-gradient gemm), inference walks
-    the active rule table and takes the first row matching
-    ``(op, dtype)`` whose ``min_batch_spatial`` threshold is met::
-
-        strategy = resolve_conv_strategy("conv2d", np.float64, n * out_h * out_w)
-    """
-    setting = _CTX.conv_strategy
-    if setting != "auto":
-        return setting
-    if grad_enabled:
-        return "im2col"
-    name = np.dtype(dtype).name
-    rules = _CTX.conv_rules if _CTX.conv_rules is not None else DEFAULT_AUTO_RULES
-    for rule_op, rule_dtype, min_spatial, strategy in rules:
-        if rule_op == op and rule_dtype == name and batch_spatial >= int(min_spatial):
-            return strategy
-    return "im2col"
-
-
-class conv_strategy:
-    """Context manager forcing a convolution strategy on the calling thread.
-
-    ``strategy`` is one of :data:`CONV_STRATEGIES` or ``"auto"``;
-    ``rules`` optionally overrides the auto-selection table (same row
-    format as :data:`DEFAULT_AUTO_RULES`) for the scope's duration.
-    Thread-local, nestable, restores the previous setting on exit::
-
-        with nn.conv_strategy("tap_gemm"):
-            model.predict(window)            # every conv runs tap-gemm
-
-        with nn.conv_strategy("auto", rules=(("conv2d", "float32", 0, "single_gemm"),)):
-            model32.predict(window)          # float32 conv2d folds the batch
-    """
-
-    def __init__(self, strategy: str = "auto", rules=None):
-        if strategy != "auto" and strategy not in CONV_STRATEGIES:
-            raise ValueError(
-                f"unknown conv strategy {strategy!r}; expected 'auto' or one of {CONV_STRATEGIES}"
-            )
-        self._strategy = strategy
-        self._rules = tuple(tuple(row) for row in rules) if rules is not None else None
-        self._prev: tuple | None = None
-
-    def __enter__(self) -> "conv_strategy":
-        self._prev = (_CTX.conv_strategy, _CTX.conv_rules)
-        _CTX.conv_strategy = self._strategy
-        if self._rules is not None:
-            _CTX.conv_rules = self._rules
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _CTX.conv_strategy, _CTX.conv_rules = self._prev
-
-
-# ----------------------------------------------------------------------
-# Shared workspace plumbing
-# ----------------------------------------------------------------------
 def _workspace(shape: tuple[int, ...], dtype, reuse: bool) -> np.ndarray:
     """A conv workspace buffer: arena-pooled on the inference fast path."""
     if reuse:
@@ -160,135 +37,42 @@ def _workspace(shape: tuple[int, ...], dtype, reuse: bool) -> np.ndarray:
     return np.empty(shape, dtype=dtype)
 
 
-def _fill_cols2d(
-    x: np.ndarray, kh: int, kw: int, stride: tuple[int, int], out_h: int, out_w: int,
-    reuse: bool = False,
-) -> np.ndarray:
-    """im2col by per-tap strided copies: ``(N, C, H, W) -> (N, C*KH*KW, L)``.
-
-    Filling one kernel-tap slab at a time keeps every copy a large strided
-    block, which is ~10x faster than the equivalent single fancy-index
-    gather on batched inputs (fancy indexing pays per-element overhead).
-    """
-    n, c, _, _ = x.shape
-    sh, sw = stride
-    cols = _workspace((n, c, kh * kw, out_h * out_w), x.dtype, reuse)
-    view = cols.reshape(n, c, kh * kw, out_h, out_w)
-    for tap in range(kh * kw):
-        i, j = divmod(tap, kw)
-        view[:, :, tap] = x[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw]
-    return cols.reshape(n, c * kh * kw, out_h * out_w)
-
-
-def _fill_cols1d(
-    x: np.ndarray, k: int, stride: int, dilation: int, out_l: int, reuse: bool = False
-) -> np.ndarray:
-    """1-D im2col by per-tap strided copies: ``(N, C, L) -> (N, C*K, out_l)``."""
-    n, c, _ = x.shape
-    cols = _workspace((n, c, k, out_l), x.dtype, reuse)
-    for tap in range(k):
-        start = tap * dilation
-        cols[:, :, tap] = x[:, :, start : start + stride * out_l : stride]
-    return cols.reshape(n, c * k, out_l)
-
-
-def _pad2d(x: np.ndarray, ph: int, pw: int, reuse: bool) -> np.ndarray:
-    """Zero-pad the trailing two axes (arena-pooled on the no-grad path)."""
-    if not (ph or pw):
-        return x
-    pad_width = ((0, 0), (0, 0), (ph, ph), (pw, pw))
+def _pad(x: np.ndarray, pad_width, reuse: bool) -> np.ndarray:
+    """Zero-pad ``x`` (arena-pooled on the no-grad path)."""
     return _padded(x, pad_width) if reuse else np.pad(x, pad_width)
 
 
-def _pad1d(x: np.ndarray, padding: int, reuse: bool) -> np.ndarray:
-    """Zero-pad the trailing axis (arena-pooled on the no-grad path)."""
-    if not padding:
-        return x
-    pad_width = ((0, 0), (0, 0), (padding, padding))
-    return _padded(x, pad_width) if reuse else np.pad(x, pad_width)
-
-
-class ConvSaved:
-    """What a forward kernel hands the backward closure.
-
-    ``cols`` is the patch workspace in the *strategy's own layout*
-    (``(N, C*K, L)`` for im2col, ``(C, K, N, L)`` for single_gemm,
-    ``None`` for tap_gemm — it never builds one); ``x_pad`` is the
-    explicitly padded input when the strategy materialized it (tap_gemm's
-    weight gradient re-reads the tap slabs from it).
-    """
-
-    __slots__ = ("strategy", "cols", "x_pad")
-
-    def __init__(self, strategy: str, cols: np.ndarray | None, x_pad: np.ndarray | None):
-        self.strategy = strategy
-        self.cols = cols
-        self.x_pad = x_pad
-
-
-# ----------------------------------------------------------------------
-# conv2d forward kernels
-# ----------------------------------------------------------------------
-def conv2d_forward(
+def conv2d_gemm(
     x: np.ndarray,
     weight: np.ndarray,
     stride: tuple[int, int],
     padding: tuple[int, int],
     out_h: int,
     out_w: int,
-    strategy: str,
     reuse: bool,
-) -> tuple[np.ndarray, ConvSaved]:
-    """Run one conv2d forward under ``strategy``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """2-D cross-correlation of ``x`` ``(N, C_in, H, W)`` with ``weight``.
 
-    ``x`` is the raw *unpadded* ``(N, C_in, H, W)`` input; padding is the
-    kernel's business (im2col/tap_gemm pad explicitly, single_gemm writes
-    zero frames into its workspace for stride-1 geometry and skips the
-    padding pass entirely).  Returns ``(out, saved)`` with ``out`` of
-    shape ``(N, C_out, out_h * out_w)``; ``reuse`` routes workspaces
-    through the active :class:`~repro.nn.BufferArena`.
-
-    Mixed input/weight dtypes fall back to im2col — the alternative
-    kernels use ``out=`` gemms, which require a single common dtype.
+    ``x`` is the raw *unpadded* input; ``out_h``/``out_w`` are the output
+    geometry the caller already derived.  Returns ``(out, cols)``: ``out``
+    of shape ``(N, C_out, out_h * out_w)`` and the
+    ``(C_in, KH*KW, N, out_h, out_w)`` patch workspace the backward
+    contracts against.
     """
-    if weight.dtype != x.dtype:
-        strategy = "im2col"
-    if strategy == "single_gemm":
-        return _conv2d_single_gemm(x, weight, stride, padding, out_h, out_w, reuse)
-    if strategy == "tap_gemm":
-        return _conv2d_tap_gemm(x, weight, stride, padding, out_h, out_w, reuse)
-    return _conv2d_im2col(x, weight, stride, padding, out_h, out_w, reuse)
-
-
-def _conv2d_im2col(x, weight, stride, padding, out_h, out_w, reuse):
-    n = x.shape[0]
-    c_out, c_in, kh, kw = weight.shape
-    x_pad = _pad2d(x, *padding, reuse)
-    cols_mat = _fill_cols2d(x_pad, kh, kw, stride, out_h, out_w, reuse=reuse)
-    w_mat = weight.reshape(c_out, c_in * kh * kw)
-    gemm_out = None
-    if reuse and w_mat.dtype == cols_mat.dtype:
-        gemm_out = _arena_request((n, c_out, out_h * out_w), w_mat.dtype)
-    # (C_out, K) @ (N, K, L) broadcast matmul: hits BLAS, unlike np.einsum.
-    out = np.matmul(w_mat, cols_mat, out=gemm_out)
-    return out, ConvSaved("im2col", cols_mat, x_pad if padding != (0, 0) else None)
-
-
-def _conv2d_single_gemm(x, weight, stride, padding, out_h, out_w, reuse):
     n, _, h, w = x.shape
     c_out, c_in, kh, kw = weight.shape
     ph, pw = padding
     sh, sw = stride
     taps = kh * kw
     length = out_h * out_w
-    cols2 = _workspace((c_in, taps, n, out_h, out_w), x.dtype, reuse)
+    cols = _workspace((c_in, taps, n, out_h, out_w), x.dtype, reuse)
     if stride == (1, 1):
         # Implicit padding: fill straight from the unpadded input and
         # write the zero frame in place — saves the whole padding pass.
         for tap in range(taps):
             i, j = divmod(tap, kw)
             di, dj = i - ph, j - pw
-            dst = cols2[:, tap]
+            dst = cols[:, tap]
             r0, r1 = max(0, -di), min(out_h, h - di)
             c0, c1 = max(0, -dj), min(out_w, w - dj)
             if r0 > 0:
@@ -303,98 +87,48 @@ def _conv2d_single_gemm(x, weight, stride, padding, out_h, out_w, reuse):
                 1, 0, 2, 3
             )
     else:
-        x_pad = _pad2d(x, ph, pw, reuse)
+        x_pad = _pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), reuse) if (ph or pw) else x
         for tap in range(taps):
             i, j = divmod(tap, kw)
-            cols2[:, tap] = x_pad[
+            cols[:, tap] = x_pad[
                 :, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw
             ].transpose(1, 0, 2, 3)
     # One gemm over the whole batch: (C_out, C*K) @ (C*K, N*L).
     out2 = _workspace((c_out, n, length), x.dtype, reuse)
     np.matmul(
         weight.reshape(c_out, c_in * taps),
-        cols2.reshape(c_in * taps, n * length),
+        cols.reshape(c_in * taps, n * length),
         out=out2.reshape(c_out, n * length),
     )
     out = _workspace((n, c_out, length), x.dtype, reuse)
     np.copyto(out.reshape(n, c_out, out_h, out_w), out2.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3))
-    return out, ConvSaved("single_gemm", cols2, None)
+    return out, cols
 
 
-def _conv2d_tap_gemm(x, weight, stride, padding, out_h, out_w, reuse):
-    n = x.shape[0]
-    c_out, c_in, kh, kw = weight.shape
-    sh, sw = stride
-    length = out_h * out_w
-    x_pad = _pad2d(x, *padding, reuse)
-    # Accumulate in (N, out_h, C_out, out_w) layout: each tap's shifted
-    # view transposes to (N, out_h, C_in, out_w), which matmuls against
-    # (C_out, C_in) without any patch workspace at all.
-    acc = _workspace((n, out_h, c_out, out_w), x.dtype, reuse)
-    tmp = _workspace((n, out_h, c_out, out_w), x.dtype, reuse)
-    for tap in range(kh * kw):
-        i, j = divmod(tap, kw)
-        view = x_pad[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw].transpose(0, 2, 1, 3)
-        if tap == 0:
-            np.matmul(weight[:, :, i, j], view, out=acc)
-        else:
-            np.matmul(weight[:, :, i, j], view, out=tmp)
-            acc += tmp
-    out = _workspace((n, c_out, length), x.dtype, reuse)
-    np.copyto(out.reshape(n, c_out, out_h, out_w), acc.transpose(0, 2, 1, 3))
-    return out, ConvSaved("tap_gemm", None, x_pad)
-
-
-# ----------------------------------------------------------------------
-# conv1d forward kernels
-# ----------------------------------------------------------------------
-def conv1d_forward(
+def conv1d_gemm(
     x: np.ndarray,
     weight: np.ndarray,
     stride: int,
     padding: int,
     dilation: int,
     out_l: int,
-    strategy: str,
     reuse: bool,
-) -> tuple[np.ndarray, ConvSaved]:
-    """Run one conv1d forward under ``strategy``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """1-D (dilated) cross-correlation of ``x`` ``(N, C_in, L)`` with ``weight``.
 
-    Same contract as :func:`conv2d_forward` with ``x`` of shape
-    ``(N, C_in, L)`` and an output of ``(N, C_out, out_l)``.
+    Same contract as :func:`conv2d_gemm`: returns ``out`` of shape
+    ``(N, C_out, out_l)`` and the ``(C_in, K, N, out_l)`` patch
+    workspace.
     """
-    if weight.dtype != x.dtype:
-        strategy = "im2col"
-    if strategy == "single_gemm":
-        return _conv1d_single_gemm(x, weight, stride, padding, dilation, out_l, reuse)
-    if strategy == "tap_gemm":
-        return _conv1d_tap_gemm(x, weight, stride, padding, dilation, out_l, reuse)
-    return _conv1d_im2col(x, weight, stride, padding, dilation, out_l, reuse)
-
-
-def _conv1d_im2col(x, weight, stride, padding, dilation, out_l, reuse):
-    n = x.shape[0]
-    c_out, c_in, k = weight.shape
-    x_pad = _pad1d(x, padding, reuse)
-    cols_mat = _fill_cols1d(x_pad, k, stride, dilation, out_l, reuse=reuse)
-    w_mat = weight.reshape(c_out, c_in * k)
-    gemm_out = None
-    if reuse and w_mat.dtype == cols_mat.dtype:
-        gemm_out = _arena_request((n, c_out, out_l), w_mat.dtype)
-    out = np.matmul(w_mat, cols_mat, out=gemm_out)
-    return out, ConvSaved("im2col", cols_mat, x_pad if padding else None)
-
-
-def _conv1d_single_gemm(x, weight, stride, padding, dilation, out_l, reuse):
     n, _, length = x.shape
     c_out, c_in, k = weight.shape
-    cols2 = _workspace((c_in, k, n, out_l), x.dtype, reuse)
+    cols = _workspace((c_in, k, n, out_l), x.dtype, reuse)
     if stride == 1:
         # Implicit padding (dilation-aware): zero the out-of-range ends in
         # place and copy the valid span from the unpadded input.
         for tap in range(k):
             offset = tap * dilation - padding
-            dst = cols2[:, tap]
+            dst = cols[:, tap]
             l0, l1 = max(0, -offset), min(out_l, length - offset)
             if l0 > 0:
                 dst[:, :, :l0].fill(0.0)
@@ -402,33 +136,16 @@ def _conv1d_single_gemm(x, weight, stride, padding, dilation, out_l, reuse):
                 dst[:, :, l1:].fill(0.0)
             dst[:, :, l0:l1] = x[:, :, l0 + offset : l1 + offset].transpose(1, 0, 2)
     else:
-        x_pad = _pad1d(x, padding, reuse)
+        x_pad = _pad(x, ((0, 0), (0, 0), (padding, padding)), reuse) if padding else x
         for tap in range(k):
             start = tap * dilation
-            cols2[:, tap] = x_pad[:, :, start : start + stride * out_l : stride].transpose(1, 0, 2)
+            cols[:, tap] = x_pad[:, :, start : start + stride * out_l : stride].transpose(1, 0, 2)
     out2 = _workspace((c_out, n, out_l), x.dtype, reuse)
     np.matmul(
         weight.reshape(c_out, c_in * k),
-        cols2.reshape(c_in * k, n * out_l),
+        cols.reshape(c_in * k, n * out_l),
         out=out2.reshape(c_out, n * out_l),
     )
     out = _workspace((n, c_out, out_l), x.dtype, reuse)
     np.copyto(out, out2.transpose(1, 0, 2))
-    return out, ConvSaved("single_gemm", cols2, None)
-
-
-def _conv1d_tap_gemm(x, weight, stride, padding, dilation, out_l, reuse):
-    n = x.shape[0]
-    c_out, c_in, k = weight.shape
-    x_pad = _pad1d(x, padding, reuse)
-    out = _workspace((n, c_out, out_l), x.dtype, reuse)
-    tmp = _workspace((n, c_out, out_l), x.dtype, reuse)
-    for tap in range(k):
-        start = tap * dilation
-        view = x_pad[:, :, start : start + stride * out_l : stride]
-        if tap == 0:
-            np.matmul(weight[:, :, tap], view, out=out)
-        else:
-            np.matmul(weight[:, :, tap], view, out=tmp)
-            out += tmp
-    return out, ConvSaved("tap_gemm", None, x_pad)
+    return out, cols

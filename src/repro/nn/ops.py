@@ -5,19 +5,17 @@ ST-HSL uses 2-D convolutions over the region grid (Eq 2 of the paper) and
 1-D convolutions over the time axis (Eqs 3 and 5); several baselines
 (ST-ResNet, STGCN, GWN, STDN, DMSTGCN) also build on these primitives.
 
-The forward pass dispatches through :mod:`repro.nn.kernels` — three
-interchangeable execution strategies (``im2col``, ``tap_gemm``,
-``single_gemm``) selected per call by the thread-local
-:class:`~repro.nn.kernels.conv_strategy` setting and its auto-selection
-rule table.  This module owns everything around the kernel: autograd
-graph construction, the per-strategy backward closures, the col2im
-scatter (:func:`_scatter_cols`), and the 1-in/1-out-channel FIR fast
-path.  Grad mode and the workspace-supplying arena are read through the
-thread-local :class:`~repro.nn.context.ExecutionContext` (via
+The forward pass runs the batch-folded single-gemm kernel in
+:mod:`repro.nn.kernels` on every path, so the graph-building forward and
+the no-grad fast path execute the same arithmetic.  This module owns
+everything around the kernel: dtype promotion, autograd graph
+construction, the backward gemms over the kernel's folded layout, the
+col2im scatter (:func:`_scatter_cols`), and the 1-in/1-out-channel FIR
+fast path.  Grad mode and the workspace-supplying arena are read through
+the thread-local :class:`~repro.nn.context.ExecutionContext` (via
 :func:`~repro.nn.tensor.is_grad_enabled` and
 :func:`~repro.nn.arena.request`), so convolutions on concurrent threads
-never observe each other's ``no_grad``/``use_arena``/``conv_strategy``
-scopes.
+never observe each other's ``no_grad``/``use_arena`` scopes.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arena import request as _arena_request
-from .kernels import conv1d_forward, conv2d_forward, resolve_conv_strategy
+from .kernels import conv1d_gemm, conv2d_gemm
 from .tensor import Tensor, _padded, is_grad_enabled
 
 __all__ = ["conv2d", "conv1d"]
@@ -120,9 +118,9 @@ def _scatter_cols_f64(gcols: np.ndarray, geometry, spatial_size: int) -> np.ndar
 def _scatter_cols_native(gcols: np.ndarray, geometry, spatial_size: int) -> np.ndarray:
     """Dtype-native scatter-add: one strided ``+=`` per kernel tap.
 
-    The exact mirror of the tap-fill im2col — each tap's slab lands on a
-    strided view of the output, overlaps between patches resolve across
-    taps, and no dtype conversion or index array is needed.
+    The exact mirror of the kernel's per-tap patch fill — each tap's
+    slab lands on a strided view of the output, overlaps between patches
+    resolve across taps, and no dtype conversion or index array is needed.
     """
     n, c, _ = gcols.shape
     if geometry[0] == "2d":
@@ -180,6 +178,52 @@ def _add_bias(out_data: np.ndarray, bias_view: np.ndarray) -> np.ndarray:
     return out_data + bias_view
 
 
+def _promote(x: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cast mixed-dtype gemm operands to their promoted dtype.
+
+    The kernel's gemms write into ``out=`` buffers of the input's dtype,
+    so a float32 input with float64 weights would silently compute in
+    float32; promoting first keeps the result ``np.matmul``'s dtype.
+    """
+    if x.dtype == weight.dtype:
+        return x, weight
+    dtype = np.result_type(x, weight)
+    return x.astype(dtype, copy=False), weight.astype(dtype, copy=False)
+
+
+def _gemm_backward(
+    grad: np.ndarray,
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor | None,
+    w_data: np.ndarray,
+    cols: np.ndarray,
+    scatter_gx,
+) -> None:
+    """Back-propagate a conv output gradient through ``out = w @ cols``.
+
+    ``cols`` is the forward's ``(C_in, K, N, ...)`` patch workspace.
+    Folding ``grad`` into the same ``(C, N*L)`` layout makes both
+    gradients single gemms; the patch gradient goes to ``scatter_gx`` as
+    ``(N, C_in, K*L)``.
+    """
+    c_in, taps, n = cols.shape[:3]
+    c_out = w_data.shape[0]
+    grad = grad.reshape(n, c_out, -1)
+    length = grad.shape[2]
+    if bias is not None and bias.requires_grad:
+        Tensor._accum(bias, grad.sum(axis=(0, 2)), own=True)
+    grad2 = np.ascontiguousarray(grad.transpose(1, 0, 2)).reshape(c_out, n * length)
+    if weight.requires_grad:
+        gw = np.matmul(grad2, cols.reshape(c_in * taps, n * length).T)
+        Tensor._accum(weight, gw.reshape(weight.data.shape), own=True)
+    if x.requires_grad:
+        w_mat = w_data.reshape(c_out, c_in * taps)
+        gcols = np.matmul(w_mat.T, grad2).reshape(c_in, taps, n, length)
+        gcols = np.ascontiguousarray(gcols.transpose(2, 0, 1, 3))
+        scatter_gx(gcols.reshape(n, c_in, taps * length))
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -206,10 +250,9 @@ def conv2d(
     """
     transfer = getattr(x.data, "__conv2d_transfer__", None)
     if transfer is not None:
-        # Abstract shape checking: the transfer rule restates the output
-        # geometry shared by all kernels.py strategies.  It must run
-        # before any concrete geometry math so symbolic dims never reach
-        # the lru-cached index builders.
+        # Abstract shape checking: the transfer rule restates the kernel's
+        # output geometry.  It must run before any concrete geometry math
+        # so symbolic dims never reach the lru-cached index builders.
         return Tensor._from_array(
             transfer(
                 weight.data, None if bias is None else bias.data, stride, padding
@@ -225,15 +268,11 @@ def conv2d(
     inference = not is_grad_enabled()
     hp, wp = h + 2 * ph, w + 2 * pw
     _, _, out_h, out_w = _im2col_indices(hp, wp, kh, kw, stride)
-    strategy = resolve_conv_strategy(
-        "conv2d", x.data.dtype, n * out_h * out_w, grad_enabled=not inference
-    )
+    x_data, w_data = _promote(x.data, weight.data)
     # The kernel owns padding + workspace layout; workspaces are
     # arena-pooled on the no-grad path only (during training the saved
     # patch matrix must survive until backward, so it stays fresh).
-    out_data, saved = conv2d_forward(
-        x.data, weight.data, stride, (ph, pw), out_h, out_w, strategy, reuse=inference
-    )
+    out_data, cols = conv2d_gemm(x_data, w_data, stride, (ph, pw), out_h, out_w, reuse=inference)
     if bias is not None:
         out_data = _add_bias(out_data, bias.data.reshape(1, c_out, 1))
     out_data = out_data.reshape(n, c_out, out_h, out_w)
@@ -241,7 +280,6 @@ def conv2d(
         return Tensor._from_array(out_data)
 
     parents = [x, weight] + ([bias] if bias is not None else [])
-    w_mat = weight.data.reshape(c_out, c_in * kh * kw)
     geometry = ("2d", hp, wp, kh, kw, stride)
 
     def scatter_gx(gcols: np.ndarray) -> None:
@@ -252,84 +290,9 @@ def conv2d(
         Tensor._accum(x, gx, own=True)
 
     def backward(out: Tensor) -> None:
-        grad = out.grad.reshape(n, c_out, out_h * out_w)
-        if bias is not None and bias.requires_grad:
-            Tensor._accum(bias, grad.sum(axis=(0, 2)), own=True)
-        if saved.strategy == "tap_gemm":
-            _conv2d_tap_backward(
-                x, weight, saved.x_pad, grad, stride, (ph, pw), (out_h, out_w)
-            )
-            return
-        if saved.strategy == "single_gemm":
-            # cols live in the gemm's (C_in*K, N*L) layout; fold the
-            # gradient the same way and both grads are single gemms.
-            grad2 = np.ascontiguousarray(grad.transpose(1, 0, 2)).reshape(
-                c_out, n * out_h * out_w
-            )
-            cols2 = saved.cols.reshape(c_in * kh * kw, n * out_h * out_w)
-            if weight.requires_grad:
-                gw = np.matmul(grad2, cols2.T)
-                Tensor._accum(weight, gw.reshape(weight.data.shape), own=True)
-            if x.requires_grad:
-                gcols2 = np.matmul(w_mat.T, grad2)
-                gcols2 = gcols2.reshape(c_in, kh * kw, n, out_h * out_w)
-                gcols = np.ascontiguousarray(gcols2.transpose(2, 0, 1, 3))
-                scatter_gx(gcols.reshape(n, c_in, kh * kw * out_h * out_w))
-            return
-        cols_mat = saved.cols
-        if weight.requires_grad:
-            gw = np.matmul(grad, cols_mat.swapaxes(-1, -2)).sum(axis=0)
-            Tensor._accum(weight, gw.reshape(weight.data.shape), own=True)
-        if x.requires_grad:
-            gcols = np.matmul(w_mat.T, grad)
-            scatter_gx(gcols.reshape(n, c_in, kh * kw * out_h * out_w))
+        _gemm_backward(out.grad, x, weight, bias, w_data, cols, scatter_gx)
 
     return Tensor._make(out_data, parents, backward)
-
-
-def _conv2d_tap_backward(
-    x: Tensor,
-    weight: Tensor,
-    x_pad: np.ndarray,
-    grad: np.ndarray,
-    stride: tuple[int, int],
-    padding: tuple[int, int],
-    out_hw: tuple[int, int],
-) -> None:
-    """col2im-free backward for the tap-gemm strategy.
-
-    Mirrors the forward: one gemm per kernel tap against a shifted view,
-    so neither gradient ever materializes a patch workspace — the weight
-    gradient re-reads each tap slab from the saved padded input, the
-    input gradient scatters per-tap products onto strided views of the
-    padded canvas.  ``grad`` arrives flattened ``(N, C_out, L)``.
-    """
-    n = grad.shape[0]
-    c_out, c_in, kh, kw = weight.shape
-    sh, sw = stride
-    ph, pw = padding
-    out_h, out_w = out_hw
-    length = out_h * out_w
-    if weight.requires_grad:
-        gw = np.empty_like(weight.data)
-        for tap in range(kh * kw):
-            i, j = divmod(tap, kw)
-            slab = np.ascontiguousarray(
-                x_pad[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw]
-            ).reshape(n, c_in, length)
-            gw[:, :, i, j] = np.matmul(grad, slab.swapaxes(1, 2)).sum(axis=0)
-        Tensor._accum(weight, gw, own=True)
-    if x.requires_grad:
-        gx_pad = np.zeros_like(x_pad)
-        for tap in range(kh * kw):
-            i, j = divmod(tap, kw)
-            view = gx_pad[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw]
-            view += np.matmul(weight.data[:, :, i, j].T, grad).reshape(
-                n, c_in, out_h, out_w
-            )
-        h, w = x.shape[2:]
-        gx = gx_pad[:, :, ph : ph + h, pw : pw + w] if (ph or pw) else gx_pad
-        Tensor._accum(x, gx, own=True)
 
 
 def _conv1d_fir(
@@ -435,26 +398,21 @@ def conv1d(
     if c_in == 1 and c_out == 1:
         # FIR fast path for single-channel kernels (ST-HSL's Eq-5 shared
         # depthwise temporal conv runs here with huge N): k scaled strided
-        # adds replace im2col + matmul entirely.
+        # adds replace the patch fill + gemm entirely.
         x_data = x.data
         if padding:
             pad_width = ((0, 0), (0, 0), (padding, padding))
             x_data = _padded(x_data, pad_width) if inference else np.pad(x_data, pad_width)
         return _conv1d_fir(x, weight, bias, x_data, stride, dilation, out_l, padding, length)
 
-    strategy = resolve_conv_strategy(
-        "conv1d", x.data.dtype, n * out_l, grad_enabled=not inference
-    )
-    out_data, saved = conv1d_forward(
-        x.data, weight.data, stride, padding, dilation, out_l, strategy, reuse=inference
-    )
+    x_data, w_data = _promote(x.data, weight.data)
+    out_data, cols = conv1d_gemm(x_data, w_data, stride, padding, dilation, out_l, reuse=inference)
     if bias is not None:
         out_data = _add_bias(out_data, bias.data.reshape(1, c_out, 1))
     if inference:
         return Tensor._from_array(out_data)
 
     parents = [x, weight] + ([bias] if bias is not None else [])
-    w_mat = weight.data.reshape(c_out, c_in * k)
     geometry = ("1d", lp, k, stride, dilation)
 
     def scatter_gx(gcols: np.ndarray) -> None:
@@ -463,63 +421,6 @@ def conv1d(
         Tensor._accum(x, gx, own=True)
 
     def backward(out: Tensor) -> None:
-        grad = out.grad
-        if bias is not None and bias.requires_grad:
-            Tensor._accum(bias, grad.sum(axis=(0, 2)), own=True)
-        if saved.strategy == "tap_gemm":
-            _conv1d_tap_backward(
-                x, weight, saved.x_pad, grad, stride, dilation, padding, out_l, length
-            )
-            return
-        if saved.strategy == "single_gemm":
-            grad2 = np.ascontiguousarray(grad.transpose(1, 0, 2)).reshape(c_out, n * out_l)
-            cols2 = saved.cols.reshape(c_in * k, n * out_l)
-            if weight.requires_grad:
-                gw = np.matmul(grad2, cols2.T)
-                Tensor._accum(weight, gw.reshape(weight.data.shape), own=True)
-            if x.requires_grad:
-                gcols2 = np.matmul(w_mat.T, grad2).reshape(c_in, k, n, out_l)
-                gcols = np.ascontiguousarray(gcols2.transpose(2, 0, 1, 3))
-                scatter_gx(gcols.reshape(n, c_in, k * out_l))
-            return
-        cols_mat = saved.cols
-        if weight.requires_grad:
-            gw = np.matmul(grad, cols_mat.swapaxes(-1, -2)).sum(axis=0)
-            Tensor._accum(weight, gw.reshape(weight.data.shape), own=True)
-        if x.requires_grad:
-            gcols = np.matmul(w_mat.T, grad).reshape(n, c_in, k * out_l)
-            scatter_gx(gcols)
+        _gemm_backward(out.grad, x, weight, bias, w_data, cols, scatter_gx)
 
     return Tensor._make(out_data, parents, backward)
-
-
-def _conv1d_tap_backward(
-    x: Tensor,
-    weight: Tensor,
-    x_pad: np.ndarray,
-    grad: np.ndarray,
-    stride: int,
-    dilation: int,
-    padding: int,
-    out_l: int,
-    length: int,
-) -> None:
-    """col2im-free backward for the 1-D tap-gemm strategy (see 2-D twin)."""
-    n = grad.shape[0]
-    c_out, c_in, k = weight.shape
-    if weight.requires_grad:
-        gw = np.empty_like(weight.data)
-        for tap in range(k):
-            start = tap * dilation
-            slab = np.ascontiguousarray(x_pad[:, :, start : start + stride * out_l : stride])
-            gw[:, :, tap] = np.matmul(grad, slab.swapaxes(1, 2)).sum(axis=0)
-        Tensor._accum(weight, gw, own=True)
-    if x.requires_grad:
-        gx_pad = np.zeros_like(x_pad)
-        for tap in range(k):
-            start = tap * dilation
-            gx_pad[:, :, start : start + stride * out_l : stride] += np.matmul(
-                weight.data[:, :, tap].T, grad
-            )
-        gx = gx_pad[:, :, padding : padding + length] if padding else gx_pad
-        Tensor._accum(x, gx, own=True)

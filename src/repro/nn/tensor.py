@@ -60,18 +60,15 @@ __all__ = [
 # float64 keeps finite-difference gradient checks tight and is the default;
 # float32 halves memory traffic on the conv/matmul hot paths and is exposed
 # as an opt-in compute mode (see STHSLConfig.compute_dtype and the perf
-# harness under benchmarks/perf/).  float16 is allowed for experimentation
-# only: numpy's half ufuncs are software-emulated (~10x slower than
-# float32), which is why sub-f32 *serving* quantizes storage instead of
-# compute (see repro.nn.quantize).  The active default lives in the
+# harness under benchmarks/perf/).  The active default lives in the
 # thread-local ExecutionContext, so a dtype_scope on one thread cannot
 # recast tensors another thread is creating concurrently.
 _FLOAT64 = np.dtype(np.float64)
-_ALLOWED_DTYPES = (np.dtype(np.float16), np.dtype(np.float32), np.dtype(np.float64))
+_ALLOWED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def set_default_dtype(dtype) -> None:
-    """Set the dtype new tensors are created with (float16/float32/float64).
+    """Set the dtype new tensors are created with (float32 or float64).
 
     Integer/bool inputs are always promoted to this dtype; float inputs are
     recast only when a non-float64 default is active, so the float64 default
@@ -81,7 +78,7 @@ def set_default_dtype(dtype) -> None:
     resolved = np.dtype(dtype)
     if resolved not in _ALLOWED_DTYPES:
         raise ValueError(
-            f"default dtype must be float16, float32 or float64, got {dtype!r}"
+            f"default dtype must be float32 or float64, got {dtype!r}"
         )
     _CTX.default_dtype = resolved
 

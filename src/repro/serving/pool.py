@@ -73,11 +73,9 @@ class ModelPool:
     operator's choice, applied to every load and *overriding* any
     ``served_dtype`` an artifact's manifest carries (load artifacts
     directly through :meth:`Forecaster.load` to honour per-artifact
-    manifest pins instead).  It is best-effort per model — builders
-    without a dtype knob load at native precision.  ``"float16"`` serves
-    f16-rounded weights on the float32 compute path (storage
-    quantization, see :mod:`repro.nn.quantize`); the perf harness gates
-    its accuracy delta.  All pool methods are
+    manifest pins instead).  It is ``"float32"``, ``"float64"`` or
+    ``None`` (native), best-effort per model — builders without a dtype
+    knob load at native precision.  All pool methods are
     thread-safe, and the returned forecasters' predict paths are too
     (execution state is thread-local and every thread predicts under its
     own per-thread arena), so :class:`~repro.serving.ForecastService`

@@ -197,50 +197,29 @@ class TestMigration:
         loaded = Forecaster.load(path, served_dtype="float64")
         assert loaded.model.config.compute_dtype == "float64"
 
-    def test_invalid_served_dtype_rejected_at_save(self, tmp_path):
+    @pytest.mark.parametrize("dtype", ["bfloat16", "float16"])
+    def test_invalid_served_dtype_rejected_at_save(self, tmp_path, dtype):
         forecaster = _fitted()
         with pytest.raises(ArtifactError, match="served_dtype"):
-            forecaster.save(tmp_path / "bad.npz", served_dtype="bfloat16")
+            forecaster.save(tmp_path / "bad.npz", served_dtype=dtype)
 
-    def test_float16_round_trip_within_mae_gate(self, tmp_path):
-        """float16 serving is storage quantization: weights are rounded
-        through IEEE half, compute stays float32, and the prediction MAE
-        delta vs the full-precision model stays inside the same gate the
-        perf harness enforces (``KERNEL_MAE_GATES``)."""
-        from repro.analysis.perf import KERNEL_MAE_GATES
-
-        forecaster = _fitted()
-        path = tmp_path / "served.npz"
-        manifest = forecaster.save(path, served_dtype="float16")
-        assert manifest["served_dtype"] == "float16"
-        loaded = Forecaster.load(path)
-        assert loaded.served_dtype == "float16"
-        # Compute dtype is float32 (numpy has no fast half gemm); every
-        # parameter is exactly representable in half precision.
-        assert loaded.model.config.compute_dtype == "float32"
-        for name, param in loaded.model.named_parameters():
-            half = param.data.astype(np.float16).astype(param.data.dtype)
-            assert np.array_equal(param.data, half), name
-        history = DATASET.tensor[:, 20:28, :]
-        reference = forecaster.predict(history)
-        quantized = loaded.predict(history)
-        mae_delta = float(np.abs(quantized - reference).mean())
-        scale = float(np.abs(reference).mean()) + 1e-12
-        assert mae_delta / scale <= KERNEL_MAE_GATES["float16"]
-
-    def test_int8_weights_flag_round_trips_within_gate(self, tmp_path):
-        from repro.analysis.perf import KERNEL_MAE_GATES
-
+    def test_stored_float16_loads_as_float32(self, tmp_path):
+        """Artifacts written with the retired ``served_dtype: "float16"``
+        always computed in float32; they now load at float32 with their
+        weights as stored."""
         forecaster = _fitted()
         path = tmp_path / "served.npz"
         forecaster.save(path)
-        loaded = Forecaster.load(path, served_dtype="float32", int8_weights=True)
+        legacy = tmp_path / "legacy_f16.npz"
+        manifest, state = nn.load_archive(path)
+        nn.save_archive(legacy, state, dict(manifest, served_dtype="float16"))
+        assert read_artifact(legacy).served_dtype == "float32"
+        loaded = Forecaster.load(legacy)
+        assert loaded.served_dtype == "float32"
+        assert loaded.model.config.compute_dtype == "float32"
         history = DATASET.tensor[:, 20:28, :]
-        reference = forecaster.predict(history)
-        quantized = loaded.predict(history)
-        mae_delta = float(np.abs(quantized - reference).mean())
-        scale = float(np.abs(reference).mean()) + 1e-12
-        assert mae_delta / scale <= KERNEL_MAE_GATES["int8"]
+        expected = Forecaster.load(path, served_dtype="float32").predict(history)
+        assert np.array_equal(loaded.predict(history), expected)
 
     def test_shard_metadata_round_trips(self, tmp_path):
         forecaster = _fitted()

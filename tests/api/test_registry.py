@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.api import REGISTRY, ModelGeometry, ModelRegistry
 from repro.baselines import BASELINE_NAMES, build_baseline
 from repro.data import load_city
@@ -53,14 +52,7 @@ class TestCapabilities:
 class TestGraphFreePredictIdentity:
     """The no_grad + arena fast path is numerically invisible: for every
     registered model, ``predict`` must equal the graph-building (gradient
-    recording) forward pass bit for bit.
-
-    The conv strategy is pinned so the graph reference and the fast path
-    execute the same kernel — under ``"auto"`` they legitimately diverge
-    (training resolves to im2col, inference to whatever wins), and
-    cross-strategy equivalence is tolerance-level by design (locked in
-    ``tests/nn/test_conv_kernels.py``).
-    """
+    recording) forward pass bit for bit."""
 
     @pytest.mark.parametrize("name", [*BASELINE_NAMES, "ST-HSL", "HA"])
     def test_predict_matches_graph_forward_bitwise(self, name):
@@ -69,24 +61,22 @@ class TestGraphFreePredictIdentity:
         # Graph-building reference: eval mode (dropout off) but gradients
         # recording — the op path predict skipped before the fast path.
         model.eval()
-        with nn.conv_strategy("im2col"):
-            reference = model.forward(window)
-            reference = getattr(reference, "prediction", reference).data
-            for _ in range(2):  # second call runs on recycled arena buffers
-                fast = model.predict(window)
-                assert np.array_equal(reference, fast), name
+        reference = model.forward(window)
+        reference = getattr(reference, "prediction", reference).data
+        for _ in range(2):  # second call runs on recycled arena buffers
+            fast = model.predict(window)
+            assert np.array_equal(reference, fast), name
 
-    @pytest.mark.parametrize("name", ["ST-HSL", "STGCN", "DeepCrime", "GWN", "DCRNN"])
+    @pytest.mark.parametrize("name", [spec.name for spec in REGISTRY if spec.supports_batching])
     def test_predict_batch_matches_graph_forward_bitwise(self, name):
         model = REGISTRY.build(name, geometry=GEOMETRY, window=WINDOW, hidden=8, seed=0)
         windows = np.random.default_rng(8).standard_normal((3, GEOMETRY.num_regions, WINDOW, 4))
         model.eval()
-        with nn.conv_strategy("im2col"):
-            reference = model.forward_batch(windows)
-            reference = getattr(reference, "prediction", reference).data
-            for _ in range(2):
-                fast = model.predict_batch(windows)
-                assert np.array_equal(reference, fast), name
+        reference = model.forward_batch(windows)
+        reference = getattr(reference, "prediction", reference).data
+        for _ in range(2):
+            fast = model.predict_batch(windows)
+            assert np.array_equal(reference, fast), name
 
     def test_parameterless_models_have_no_parameters(self):
         for name in ("ARIMA", "HA"):

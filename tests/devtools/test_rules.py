@@ -235,22 +235,22 @@ def test_no_nondeterminism_wall_clock(tmp_path):
 
 
 def test_no_nondeterminism_covers_kernel_modules(tmp_path):
-    """The conv kernel-dispatch layer and the quantizer are hot-path nn/
+    """The conv kernel and the conv autograd ops are hot-path nn/
     modules: an unseeded RNG planted in either must be caught exactly
     like the established nn/ and serving/ seeds above."""
     _plant(
         tmp_path,
         "nn/kernels.py",
-        "import numpy as np\n\n\ndef pick_strategy():\n    return np.random.default_rng().integers(3)\n",
+        "import numpy as np\n\n\ndef tap_order():\n    return np.random.default_rng().permutation(9)\n",
     )
     _plant(
         tmp_path,
-        "nn/quantize.py",
+        "nn/ops.py",
         "import random\n\n\ndef dither():\n    return random.random()\n",
     )
     hits = _rules_hit(tmp_path)
     assert ("no-nondeterminism-in-hot-path", "nn/kernels.py") in hits
-    assert ("no-nondeterminism-in-hot-path", "nn/quantize.py") in hits
+    assert ("no-nondeterminism-in-hot-path", "nn/ops.py") in hits
 
 
 def test_all_export_stale_entry(tmp_path):

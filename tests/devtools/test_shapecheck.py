@@ -10,8 +10,8 @@ Three layers, mirroring the implementation:
   detected with the right problem kind and, through the lint pass,
   the right rule id anchored at a real ``path:line``;
 * **transfer-rule agreement** — the abstract conv rules must predict
-  the exact output shape/dtype of all three concrete ``kernels.py``
-  strategies.
+  the exact output shape/dtype of the concrete ``kernels.py`` conv
+  kernel, mixed input/weight dtypes included.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.devtools.check import (
     check_registry,
 )
 from repro.devtools.check.interpret import ModelReport, Problem
-from repro.nn import Tensor, kernels, ops
+from repro.nn import Tensor, ops
 
 pytestmark = pytest.mark.lint_smoke
 
@@ -226,17 +226,17 @@ def test_batch_concretisation_caught_by_second_sentinel():
 
 
 # ---------------------------------------------------------------------
-# Transfer-rule agreement with the three concrete conv strategies.
+# Transfer-rule agreement with the concrete conv kernel.
 # ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("strategy", kernels.CONV_STRATEGIES)
+@pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (2, 1)])
-def test_conv2d_transfer_matches_strategy(strategy, stride, padding):
+def test_conv2d_transfer_matches_kernel(w_dtype, stride, padding):
     x = np.linspace(0, 1, 2 * 3 * 8 * 8, dtype=np.float32).reshape(2, 3, 8, 8)
-    w = np.full((5, 3, 3, 3), 0.1, dtype=np.float32)
+    w = np.full((5, 3, 3, 3), 0.1, dtype=w_dtype)
     b = np.zeros(5, dtype=np.float32)
-    with nn.no_grad(), kernels.conv_strategy(strategy):
+    with nn.no_grad():
         concrete = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding)
         abstract = ops.conv2d(
             Tensor(abstract_input(x.shape, x.dtype, Trace())),
@@ -249,12 +249,12 @@ def test_conv2d_transfer_matches_strategy(strategy, stride, padding):
     assert abstract.data.dtype == concrete.data.dtype
 
 
-@pytest.mark.parametrize("strategy", kernels.CONV_STRATEGIES)
+@pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("stride,padding,dilation", [(1, 1, 1), (1, 2, 2), (2, 0, 1)])
-def test_conv1d_transfer_matches_strategy(strategy, stride, padding, dilation):
-    x = np.linspace(0, 1, 2 * 3 * 16, dtype=np.float64).reshape(2, 3, 16)
-    w = np.full((4, 3, 3), 0.1, dtype=np.float64)
-    with nn.no_grad(), kernels.conv_strategy(strategy):
+def test_conv1d_transfer_matches_kernel(w_dtype, stride, padding, dilation):
+    x = np.linspace(0, 1, 2 * 3 * 16, dtype=np.float32).reshape(2, 3, 16)
+    w = np.full((4, 3, 3), 0.1, dtype=w_dtype)
+    with nn.no_grad():
         concrete = ops.conv1d(Tensor(x), Tensor(w), None, stride, padding, dilation)
         abstract = ops.conv1d(
             Tensor(abstract_input(x.shape, x.dtype, Trace())),

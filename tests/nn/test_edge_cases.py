@@ -119,3 +119,12 @@ class TestDtypePromotion:
         t = Tensor([[1, 2], [3, 4]])
         assert t.shape == (2, 2)
         assert t.dtype.kind == "f"
+
+    @pytest.mark.parametrize("dtype", ["float16", "int32"])
+    def test_default_dtype_is_float32_or_float64(self, dtype):
+        with pytest.raises(ValueError, match="float32 or float64"):
+            nn.set_default_dtype(dtype)
+        with pytest.raises(ValueError, match="float32 or float64"):
+            with nn.dtype_scope(dtype):
+                pass
+        assert nn.get_default_dtype() == np.float64

@@ -2,15 +2,12 @@
 
 Runs one tiny throughput measurement through the same code path as
 ``benchmarks/perf/run_all.py`` and validates the ``repro.perf/v6``
-schema (training + inference + serving + kernels + network sections), so schema
+schema (training + inference + serving + network sections), so schema
 or harness breakage is caught by the default suite rather than at the
 next manual bench run.  Also guards the *committed* ``BENCH_perf.json``
 against regression: if a future bench run lands numbers below the
 trajectory recorded by earlier PRs, the suite fails instead of silently
-shipping a slowdown.  The kernel floors defend the PR 8 acceptance
-criteria: the best conv strategy beats im2col by >= 1.15x on batched
-f64 inference on at least one geometry, and ``served_dtype="float16"``
-beats the batched float32 baseline while staying inside its MAE gate.
+shipping a slowdown.
 """
 
 import json
@@ -58,12 +55,6 @@ TRACKED_SPEEDUP_FLOORS = {
     },
 }
 
-# PR 8 acceptance floors on the kernels section of the committed bench.
-# Checked across geometries: each must hold on at least one recorded
-# geometry (the f32 auto-dispatch threshold only trips at paper scale).
-KERNEL_F64_BEST_FLOOR = 1.15  # best conv strategy vs im2col, batched f64
-KERNEL_F16_SERVING_FLOOR = 1.0  # float16 serving vs batched f32 baseline
-
 
 @pytest.mark.perf_smoke
 def test_perf_smoke(tmp_path):
@@ -82,7 +73,6 @@ def test_perf_smoke(tmp_path):
         serving_concurrency=(1, 2),
         serving_max_batch=2,
         serving_workers=(1, 2),
-        kernel_channels=8,
         network_concurrency=2,
         network_process_workers=1,
     )
@@ -119,26 +109,6 @@ def test_perf_smoke(tmp_path):
     # Headline floors stay pinned to the single-worker column.
     assert "service_conc2_vs_graph_baseline" in serving["speedups"]
     assert "service_conc2_workers2_vs_workers1" in serving["speedups"]
-
-    kernels = payload["kernels"]["geometries"]
-    assert len(kernels) == 1  # defaults to the measurement dataset's geometry
-    block = kernels[0]
-    assert (block["rows"], block["cols"]) == (4, 4)
-    combos = {(e["op"], e["dtype"], e["strategy"]) for e in block["conv"]}
-    for op in ("conv2d", "conv1d"):
-        for dtype in ("float64", "float32"):
-            for strategy in ("im2col", "tap_gemm", "single_gemm"):
-                assert (op, dtype, strategy) in combos
-    assert "conv2d_float64_best_vs_im2col" in block["speedups"]
-    serving_modes = {e["mode"] for e in block["serving_dtypes"]["entries"]}
-    assert serving_modes == {"float32_baseline_im2col", "float32", "float16", "int8"}
-    for entry in block["serving_dtypes"]["entries"]:
-        if entry["mode"] in ("float16", "int8"):
-            assert entry["within_gate"], (
-                f"{entry['mode']} serving accuracy outside its MAE gate: "
-                f"{entry['mae_delta_rel']} > {entry['mae_gate_rel']}"
-            )
-    assert "float16_vs_float32_baseline" in block["serving_dtypes"]["speedups"]
 
     network = payload["network"]
     assert network["num_requests"] == 6
@@ -230,45 +200,3 @@ def test_committed_bench_speedups_hold_the_trajectory():
                 f"floor {floor}x — a perf regression (or a bench run on a "
                 "different machine; re-measure the seed reference if so)"
             )
-
-
-@pytest.mark.perf_smoke
-def test_committed_bench_kernel_floors():
-    """PR 8 acceptance on the committed bench: the kernels section records
-    both the 6x6 and the 16x16 paper-scale geometries; on at least one,
-    the best conv strategy beats im2col by >= 1.15x on batched f64
-    inference; float16 serving beats the batched f32 baseline somewhere;
-    and every gated serving dtype stays inside its MAE gate."""
-    payload = json.loads((REPO_ROOT / "BENCH_perf.json").read_text())
-    blocks = payload["kernels"]["geometries"]
-    geometries = {(b["rows"], b["cols"]) for b in blocks}
-    assert (6, 6) in geometries and (16, 16) in geometries
-
-    best_f64 = max(
-        max(
-            b["speedups"]["conv2d_float64_best_vs_im2col"],
-            b["speedups"]["conv1d_float64_best_vs_im2col"],
-        )
-        for b in blocks
-    )
-    assert best_f64 >= KERNEL_F64_BEST_FLOOR, (
-        f"best f64 conv strategy only reaches {best_f64}x vs im2col — below "
-        f"the {KERNEL_F64_BEST_FLOOR}x acceptance floor on every geometry"
-    )
-
-    f16_best = max(
-        b["serving_dtypes"]["speedups"]["float16_vs_float32_baseline"] for b in blocks
-    )
-    assert f16_best > KERNEL_F16_SERVING_FLOOR, (
-        f"float16 serving only reaches {f16_best}x vs the batched f32 "
-        "baseline — it must win on at least one geometry"
-    )
-
-    for block in blocks:
-        for entry in block["serving_dtypes"]["entries"]:
-            if "within_gate" in entry:
-                assert entry["within_gate"], (
-                    f"{entry['mode']} serving on {block['rows']}x{block['cols']} "
-                    f"exceeds its MAE gate: {entry['mae_delta_rel']} > "
-                    f"{entry['mae_gate_rel']}"
-                )
