@@ -58,6 +58,7 @@ __all__ = [
     "ARTIFACT_SCHEMA_V1",
     "Artifact",
     "ArtifactError",
+    "check_served_dtype",
     "migrate",
     "read_artifact",
     "register_migration",
@@ -227,6 +228,24 @@ def migrate(manifest: dict) -> dict:
     return manifest
 
 
+def check_served_dtype(served_dtype: str | None) -> str | None:
+    """Return ``served_dtype`` if loaders can serve it; raise :class:`ArtifactError`.
+
+    The domain is ``"float32"``, ``"float64"`` or ``None`` (the model's
+    native dtype).  Manifests, :meth:`Forecaster.load` and
+    :class:`~repro.serving.ModelPool` check against it, so an unservable
+    request fails up front rather than loading some models natively::
+
+        check_served_dtype("float32")  # -> "float32"
+        check_served_dtype("float16")  # raises ArtifactError
+    """
+    if served_dtype is not None and served_dtype not in _SERVED_DTYPES:
+        raise ArtifactError(
+            f"served_dtype must be one of {_SERVED_DTYPES} or null, got {served_dtype!r}"
+        )
+    return served_dtype
+
+
 def validate_manifest(manifest: dict | None) -> dict:
     """Check a manifest against the v2 contract; raise :class:`ArtifactError`.
 
@@ -250,11 +269,7 @@ def validate_manifest(manifest: dict | None) -> dict:
     missing = [key for key in _REQUIRED_KEYS + _V2_KEYS if key not in manifest]
     if missing:
         raise ArtifactError(f"artifact manifest is missing required keys: {missing}")
-    served = manifest["served_dtype"]
-    if served is not None and served not in _SERVED_DTYPES:
-        raise ArtifactError(
-            f"served_dtype must be one of {_SERVED_DTYPES} or null, got {served!r}"
-        )
+    check_served_dtype(manifest["served_dtype"])
     shard = manifest["shard"]
     if shard is not None:
         missing = [key for key in _SHARD_KEYS if key not in shard]

@@ -19,7 +19,7 @@ import numpy as np
 from ..data.datasets import CrimeDataset
 from ..training import Trainer, WindowDataset
 from ..training.evaluation import EvaluationResult
-from .artifacts import read_artifact, write_artifact
+from .artifacts import check_served_dtype, read_artifact, write_artifact
 from .registry import REGISTRY, ModelGeometry, ModelRegistry
 from .runspec import ExperimentBudget
 
@@ -334,7 +334,8 @@ class Forecaster:
         :class:`~repro.api.ArtifactError` on bare state-dict files or
         unknown schema versions.
 
-        ``served_dtype`` (``"float32"`` or ``"float64"``) overrides the
+        ``served_dtype`` (``"float32"`` or ``"float64"``; anything else
+        raises :class:`~repro.api.ArtifactError`) overrides the
         manifest's ``served_dtype`` field (explicit argument > manifest >
         model native dtype).  Dtype requests are best-effort: models whose
         builder does not accept a ``compute_dtype`` override (most
@@ -343,6 +344,7 @@ class Forecaster:
             fc = Forecaster.load("model.npz", served_dtype="float32")
             assert fc.served_dtype == "float32"
         """
+        check_served_dtype(served_dtype)
         artifact = read_artifact(path)
         build = artifact.build
         budget_payload = artifact.manifest.get("budget") or {"window": int(build["window"])}

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..api import Forecaster
+from ..api.artifacts import check_served_dtype
 from ..api.registry import REGISTRY, ModelRegistry
 from .errors import ArtifactLoadError, ServingError
 from .resilience import RetryPolicy
@@ -74,8 +75,10 @@ class ModelPool:
     ``served_dtype`` an artifact's manifest carries (load artifacts
     directly through :meth:`Forecaster.load` to honour per-artifact
     manifest pins instead).  It is ``"float32"``, ``"float64"`` or
-    ``None`` (native), best-effort per model — builders without a dtype
-    knob load at native precision.  All pool methods are
+    ``None`` (native; anything else raises
+    :class:`~repro.api.ArtifactError` here), best-effort per model —
+    builders without a dtype knob load at native precision.  All pool
+    methods are
     thread-safe, and the returned forecasters' predict paths are too
     (execution state is thread-local and every thread predicts under its
     own per-thread arena), so :class:`~repro.serving.ForecastService`
@@ -109,7 +112,7 @@ class ModelPool:
                 f"quarantine_cooldown must be >= 0, got {quarantine_cooldown}"
             )
         self.capacity = capacity
-        self.served_dtype = served_dtype
+        self.served_dtype = check_served_dtype(served_dtype)
         self.registry = registry
         self.retry = retry
         self.quarantine_cooldown = quarantine_cooldown

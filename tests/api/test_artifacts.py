@@ -203,6 +203,21 @@ class TestMigration:
         with pytest.raises(ArtifactError, match="served_dtype"):
             forecaster.save(tmp_path / "bad.npz", served_dtype=dtype)
 
+    @pytest.mark.parametrize("model", ["ST-HSL", "HA"])
+    def test_invalid_served_dtype_rejected_at_load(self, tmp_path, model):
+        # HA's builder has no dtype knob, so without the up-front check the
+        # request would quietly load at the native dtype instead.
+        path = tmp_path / "model.npz"
+        _fitted(model).save(path)
+        with pytest.raises(ArtifactError, match="served_dtype"):
+            Forecaster.load(path, served_dtype="float16")
+
+    def test_migrate_maps_stored_float16_without_schema_bump(self, tmp_path):
+        manifest = _fitted().save(tmp_path / "model.npz")
+        legacy = dict(manifest, served_dtype="float16")
+        assert migrate(legacy) == dict(manifest, served_dtype="float32")
+        assert legacy["served_dtype"] == "float16"  # the caller's dict is untouched
+
     def test_stored_float16_loads_as_float32(self, tmp_path):
         """Artifacts written with the retired ``served_dtype: "float16"``
         always computed in float32; they now load at float32 with their

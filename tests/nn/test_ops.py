@@ -165,6 +165,25 @@ class TestConv2dBackward:
             [Tensor(a, requires_grad=True) for a in arrays],
         )
 
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
+    @pytest.mark.parametrize("stride,padding", [((1, 2), (2, 0)), ((2, 1), (0, 1))])
+    def test_gradcheck_per_axis_geometry(self, kernel, stride, padding):
+        arrays = _arrays("float64", (2, 2, 6, 7), (3, 2, *kernel), (3,))
+        gradcheck(
+            lambda x, w, b: conv2d(x, w, b, stride=stride, padding=padding),
+            [Tensor(a, requires_grad=True) for a in arrays],
+        )
+
+    def test_gradcheck_mixed_dtype(self):
+        # float32 input, float64 weights: the backward runs on the promoted
+        # operands; the coarse f32 settings cover the f32 input's steps.
+        x, w, b = _arrays("float32", (2, 2, 5, 4), (3, 2, 3, 3), (3,))
+        gradcheck(
+            lambda x, w, b: conv2d(x, w, b, padding=1),
+            [Tensor(a, requires_grad=True) for a in (x, w.astype(np.float64), b)],
+            **GRADCHECK_SETTINGS["float32"],
+        )
+
 
 class TestConv1dForward:
     def test_matches_manual(self):
@@ -236,4 +255,22 @@ class TestConv1dBackward:
         gradcheck(
             lambda x, w, b: conv1d(x, w, b, stride=2, padding=1),
             [Tensor(a, requires_grad=True) for a in arrays],
+        )
+
+    @pytest.mark.parametrize("channels", [(1, 1), (3, 2)], ids=["fir", "multi"])
+    @pytest.mark.parametrize("stride,padding,dilation", [(2, 1, 1), (1, 2, 2), (2, 2, 2)])
+    def test_gradcheck_geometry(self, channels, stride, padding, dilation):
+        c_in, c_out = channels
+        arrays = _arrays("float64", (2, c_in, 11), (c_out, c_in, 3), (c_out,))
+        gradcheck(
+            lambda x, w, b: conv1d(x, w, b, stride=stride, padding=padding, dilation=dilation),
+            [Tensor(a, requires_grad=True) for a in arrays],
+        )
+
+    def test_gradcheck_mixed_dtype(self):
+        x, w, b = _arrays("float32", (2, 2, 9), (3, 2, 3), (3,))
+        gradcheck(
+            lambda x, w, b: conv1d(x, w, b, padding=2, dilation=2),
+            [Tensor(a, requires_grad=True) for a in (x, w.astype(np.float64), b)],
+            **GRADCHECK_SETTINGS["float32"],
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import DataSpec, ExperimentBudget, Forecaster
+from repro.api import ArtifactError, DataSpec, ExperimentBudget, Forecaster
 from repro.serving import ModelPool
 
 BUDGET = ExperimentBudget(window=8, epochs=1, train_limit=4, seed=0)
@@ -129,6 +129,12 @@ class TestServedDtype:
         assert sthsl.served_dtype == "float32"
         assert sthsl.model.config.compute_dtype == "float32"
         assert ha.served_dtype is None  # HA's builder has no dtype knob
+
+    def test_unservable_dtype_rejected_at_construction(self):
+        # Refused up front: a per-load failure would quarantine healthy
+        # artifacts, and dtype-less builders would load natively.
+        with pytest.raises(ArtifactError, match="served_dtype"):
+            ModelPool(capacity=1, served_dtype="float16")
 
     def test_float32_entry_stays_close_to_native(self, artifacts):
         native = Forecaster.load(artifacts[0])

@@ -179,6 +179,16 @@ class TestEndToEnd:
             for key in migrated.state
         )
 
+    def test_migrate_artifact_rewrites_stored_float16_as_float32(self, trained_checkpoint, tmp_path):
+        from repro import nn
+
+        manifest, state = nn.load_archive(trained_checkpoint)
+        legacy = tmp_path / "f16.npz"
+        nn.save_archive(legacy, state, dict(manifest, served_dtype="float16"))
+        assert main(["migrate-artifact", "--checkpoint", str(legacy)]) == 0
+        rewritten, _ = nn.load_archive(legacy)  # the file itself, not a migrated read
+        assert rewritten == dict(manifest, served_dtype="float32")
+
     def test_migrate_artifact_in_place_default(self, trained_checkpoint, capsys):
         code = main(["migrate-artifact", "--checkpoint", str(trained_checkpoint)])
         assert code == 0
