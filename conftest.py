@@ -4,11 +4,6 @@
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "perf_smoke: fast perf-harness smoke check (runs one tiny measurement "
-        "and validates the BENCH_perf.json schema; select with -m perf_smoke)",
-    )
-    config.addinivalue_line(
-        "markers",
         "chaos: fault-injection suite driving the serving resilience layer "
         "(deterministic FaultPlan chaos; select with -m chaos)",
     )

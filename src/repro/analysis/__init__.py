@@ -10,14 +10,6 @@ from .experiment import (
     train_and_evaluate,
 )
 from .hyperparams import SWEEPS, run_hyperparameter_study, sweep_parameter
-from .perf import (
-    PERF_SCHEMA,
-    enable_fast_alloc,
-    measure_inference,
-    measure_perf,
-    validate_perf_payload,
-    write_perf_json,
-)
 from .statistics import ComparisonResult, bootstrap_ci, daily_errors, paired_comparison
 from .interpretation import (
     HyperedgeCaseStudy,
@@ -47,12 +39,6 @@ __all__ = [
     "EFFICIENCY_MODELS",
     "run_efficiency_study",
     "time_epoch",
-    "PERF_SCHEMA",
-    "enable_fast_alloc",
-    "measure_inference",
-    "measure_perf",
-    "validate_perf_payload",
-    "write_perf_json",
     "ascii_heatmap",
     "format_table",
     "format_density_histogram",

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
+import time
 
 import numpy as np
 
@@ -172,6 +174,31 @@ def _print_service_stats(stats, edge=None) -> None:
     print(format_table(["stat", "value"], rows))
 
 
+def _drive_clients(service, windows, clients: int) -> float:
+    """Issue each window once through ``service`` from concurrent clients.
+
+    The windows are split round-robin across ``clients`` blocking client
+    threads (every thread gets a non-empty share as long as
+    ``clients <= len(windows)``), so the service really sees the stated
+    concurrency.  Returns elapsed wall-clock seconds; the service's own
+    counters (``service.stats()``) accumulate alongside.
+    """
+    chunks = [windows[i::clients] for i in range(clients)]
+    threads = [
+        threading.Thread(
+            target=lambda chunk: [service.predict(w) for w in chunk],
+            args=(chunk,),
+        )
+        for chunk in chunks
+    ]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return time.perf_counter() - start
+
+
 def _cmd_serve(args) -> int:
     """Demo serving session: concurrent clients against a ForecastService.
 
@@ -182,9 +209,6 @@ def _cmd_serve(args) -> int:
     an already-running server).  ``--process-workers N`` swaps the
     in-process model for a WorkerPool of forked worker processes.
     """
-    import time as _time
-
-    from .analysis.perf import drive_clients
     from .serving import (
         ForecastService,
         ModelPool,
@@ -217,7 +241,7 @@ def _cmd_serve(args) -> int:
             if not requests:
                 return 0
             client.predict(requests[0])  # connection + model warm-up
-            drive_clients(client, requests, min(args.concurrency, len(requests)))
+            _drive_clients(client, requests, min(args.concurrency, len(requests)))
             _print_service_stats(client.stats(), edge=client.stats_raw().get("edge"))
         finally:
             client.stop()
@@ -266,7 +290,7 @@ def _cmd_serve(args) -> int:
             service.reset_stats()
 
             if args.listen is None:
-                drive_clients(service, requests, min(args.concurrency, len(requests)))
+                _drive_clients(service, requests, min(args.concurrency, len(requests)))
                 _print_service_stats(service.stats())
                 return 0
 
@@ -283,7 +307,7 @@ def _cmd_serve(args) -> int:
                     print("serving until interrupted (--requests 0); Ctrl-C to stop")
                     try:
                         while True:
-                            _time.sleep(1.0)
+                            time.sleep(1.0)
                     except KeyboardInterrupt:
                         print("interrupted; shutting down")
                         return 0
@@ -291,7 +315,7 @@ def _cmd_serve(args) -> int:
                 try:
                     client.predict(requests[0])  # edge warm-up
                     service.reset_stats()
-                    drive_clients(client, requests, min(args.concurrency, len(requests)))
+                    _drive_clients(client, requests, min(args.concurrency, len(requests)))
                     _print_service_stats(service.stats(), edge=server.stats())
                 finally:
                     client.stop()

@@ -43,9 +43,9 @@ class STHSLConfig:
     temperature: float = 0.5
     # Compute dtype for all model parameters and activations.  "float64"
     # (default) matches the autograd engine's gradcheck-tight precision;
-    # "float32" halves memory traffic on the conv/matmul hot paths — the
-    # perf harness (benchmarks/perf/) reports both modes.  Switching dtype
-    # changes results at the ~1e-6 level but not training behaviour.
+    # "float32" halves memory traffic on the conv/matmul hot paths.
+    # Switching dtype changes results at the ~1e-6 level but not training
+    # behaviour.
     compute_dtype: str = "float64"
     # Infomax corruption: "shuffle" permutes region indices (paper §III-D1);
     # "noise" perturbs node features instead (extra ablation, DESIGN.md §6).

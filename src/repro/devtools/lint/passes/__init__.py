@@ -8,8 +8,7 @@ how ``..rules`` registers the per-file rules.  Current passes:
     (:mod:`repro.devtools.check`) on the 6x6 and 16x16 geometries.
 ``contracts``
     Cross-surface consistency: error taxonomy ↔ wire codes, RPC
-    fixtures ↔ codec, CLI flags ↔ docs, perf floors ↔ bench schema,
-    registry names ↔ docs.
+    fixtures ↔ codec, CLI flags ↔ docs, registry names ↔ docs.
 """
 
 from . import contracts, shapes  # noqa: F401 - importing registers the passes

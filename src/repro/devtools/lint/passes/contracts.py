@@ -12,21 +12,19 @@ Every check here ties two surfaces together that drift independently:
   code table exactly.
 * CLI flags ↔ docs — every long ``--flag`` that ``build_parser()``
   exposes must be mentioned somewhere in ``docs/*.md`` or ``README.md``.
-* Perf floors ↔ bench schema — every key in
-  ``tests/test_perf_smoke.py::TRACKED_SPEEDUP_FLOORS`` must exist in
-  the committed ``BENCH_perf.json`` speedups.
 * Registry ↔ docs — every registered model name appears in the docs.
 
+The repo root is the nearest ancestor of the lint root holding the
+surfaces these checks read: ``docs/`` and the RPC fixture directory.
 Findings anchored in package files (``serving/rpc.py``, ``cli.py``,
 ``api/registry.py``) are lint-root relative and suppressible; findings
-in repo files (``docs/``, ``tests/``, ``BENCH_perf.json``) are
-repo-root relative and reported as-is.  An unlocatable repo root is
-itself a finding — the pass never silently passes.
+in repo files (``docs/``, ``tests/``) are repo-root relative and
+reported as-is.  An unlocatable repo root is itself a finding — the
+pass never silently passes.
 """
 
 from __future__ import annotations
 
-import ast
 import json
 from pathlib import Path
 
@@ -47,9 +45,9 @@ _FIXTURE_DIR = "tests/serving/fixtures/rpc"
 
 def _find_repo_root(root: Path) -> Path | None:
     """Walk up from the lint root to the checkout holding the contract
-    surfaces (``BENCH_perf.json`` + ``docs/``)."""
+    surfaces (``docs/`` + the RPC fixture directory)."""
     for candidate in (Path(root).resolve(), *Path(root).resolve().parents):
-        if (candidate / "BENCH_perf.json").is_file() and (candidate / "docs").is_dir():
+        if (candidate / "docs").is_dir() and (candidate / _FIXTURE_DIR).is_dir():
             return candidate
     return None
 
@@ -71,8 +69,7 @@ class ContractsPass(Pass):
     id = "contracts"
     description = (
         "cross-surface contracts: error taxonomy ↔ wire codes, RPC fixtures "
-        "↔ codec, CLI flags ↔ docs, perf floors ↔ bench schema, registry ↔ "
-        "docs"
+        "↔ codec, CLI flags ↔ docs, registry ↔ docs"
     )
     hint = "update the drifting surface named in the message"
     emits = {
@@ -89,17 +86,13 @@ class ContractsPass(Pass):
             "a CLI flag exposed by build_parser() is not mentioned anywhere "
             "in docs/ or README.md"
         ),
-        "perf-floor-schema": (
-            "a tracked speedup floor in tests/test_perf_smoke.py has no "
-            "matching key in the committed BENCH_perf.json"
-        ),
         "registry-docs-drift": (
             "a registered model name is not mentioned anywhere in docs/ or "
             "README.md"
         ),
         "contract-surface-missing": (
-            "a contract surface (repo root, docs, fixtures, bench JSON) "
-            "could not be located, so its checks could not run"
+            "no ancestor of the lint root holds docs/ and the RPC fixtures, "
+            "so the fixture and docs checks could not run"
         ),
     }
 
@@ -110,16 +103,15 @@ class ContractsPass(Pass):
         if repo is None:
             yield self.finding(
                 "contract-surface-missing",
-                "BENCH_perf.json",
+                _FIXTURE_DIR,
                 1,
-                "no ancestor of the lint root holds BENCH_perf.json + docs/; "
-                "fixture/docs/bench contracts were not checked",
+                f"no ancestor of the lint root holds docs/ + {_FIXTURE_DIR}/; "
+                "fixture/docs contracts were not checked",
             )
             return
         docs_text = self._docs_text(repo)
         yield from self._check_fixtures(repo)
         yield from self._check_cli_docs(root, docs_text)
-        yield from self._check_perf_floors(repo)
         yield from self._check_registry_docs(root, docs_text)
 
     # -- error taxonomy ↔ wire codes ----------------------------------
@@ -182,16 +174,6 @@ class ContractsPass(Pass):
         from ....serving.rpc import ERROR_CODES, RPC_SCHEMA
 
         fixture_dir = repo / _FIXTURE_DIR
-        if not fixture_dir.is_dir():
-            yield self.finding(
-                "contract-surface-missing",
-                _FIXTURE_DIR,
-                1,
-                "RPC fixture directory is missing; codec golden files were "
-                "not checked",
-            )
-            return
-
         expected = set(_FIXTURE_DECODERS) | {
             "error_responses",
             "health_response",
@@ -331,68 +313,6 @@ class ContractsPass(Pass):
                     _line_of(cli_path, f'"{flag}"'),
                     f"CLI flag {flag} is not mentioned in docs/ or README.md",
                 )
-
-    # -- perf floors ↔ bench schema -----------------------------------
-    def _check_perf_floors(self, repo: Path):
-        floors_rel = "tests/test_perf_smoke.py"
-        floors_path = repo / floors_rel
-        bench_path = repo / "BENCH_perf.json"
-        if not floors_path.is_file():
-            yield self.finding(
-                "contract-surface-missing",
-                floors_rel,
-                1,
-                "perf smoke test file is missing; floor/bench contract was "
-                "not checked",
-            )
-            return
-        tree = ast.parse(floors_path.read_text(encoding="utf-8"))
-        floors_node = None
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "TRACKED_SPEEDUP_FLOORS"
-                for t in node.targets
-            ):
-                floors_node = node.value
-                break
-        if floors_node is None:
-            yield self.finding(
-                "perf-floor-schema",
-                floors_rel,
-                1,
-                "TRACKED_SPEEDUP_FLOORS not found in the perf smoke test",
-            )
-            return
-        try:
-            payload = json.loads(bench_path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            yield self.finding(
-                "perf-floor-schema", "BENCH_perf.json", 1, f"bench is not JSON: {exc}"
-            )
-            return
-        schema = payload.get("schema", "")
-        if not isinstance(schema, str) or not schema.startswith("repro.perf/"):
-            yield self.finding(
-                "perf-floor-schema",
-                "BENCH_perf.json",
-                1,
-                f"bench schema {schema!r} does not match 'repro.perf/*'",
-            )
-        # Walk the literal dict AST so each missing key anchors at its
-        # own line in the test file.
-        for section_node, section_dict in zip(floors_node.keys, floors_node.values):
-            section = ast.literal_eval(section_node)
-            speedups = payload.get(section, {}).get("speedups", {})
-            for key_node in section_dict.keys:
-                key = ast.literal_eval(key_node)
-                if key not in speedups:
-                    yield self.finding(
-                        "perf-floor-schema",
-                        floors_rel,
-                        key_node.lineno,
-                        f"floor {section}.{key} has no matching speedup in "
-                        "BENCH_perf.json",
-                    )
 
     # -- registry names ↔ docs ----------------------------------------
     def _check_registry_docs(self, root: Path, docs_text: str):

@@ -2,7 +2,7 @@
 
 Bitwise reproducibility is a load-bearing property of this repo: the
 concurrency suites lock "concurrent == sequential", the chaos harness
-replays fault schedules from a seed, and the perf harness compares runs
+replays fault schedules from a seed, and the benchmark compares runs
 across commits.  One un-seeded RNG draw or wall-clock read inside
 ``repro.nn`` or ``repro.serving`` quietly breaks all three.
 

@@ -59,10 +59,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # float64 keeps finite-difference gradient checks tight and is the default;
 # float32 halves memory traffic on the conv/matmul hot paths and is exposed
-# as an opt-in compute mode (see STHSLConfig.compute_dtype and the perf
-# harness under benchmarks/perf/).  The active default lives in the
-# thread-local ExecutionContext, so a dtype_scope on one thread cannot
-# recast tensors another thread is creating concurrently.
+# as an opt-in compute mode (see STHSLConfig.compute_dtype).  The active
+# default lives in the thread-local ExecutionContext, so a dtype_scope on
+# one thread cannot recast tensors another thread is creating concurrently.
 _FLOAT64 = np.dtype(np.float64)
 _ALLOWED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 

@@ -6,7 +6,7 @@ in-process :class:`~repro.serving.ForecastService` — ``submit`` /
 becomes a ``repro.rpc/v1`` request against a
 :class:`~repro.serving.NetworkServer`.  Code written against the
 :class:`~repro.serving.ForecastBackend` protocol (the CLI ``serve``
-demo, the examples, the perf harness) runs unchanged against either.
+demo, the examples) runs unchanged against either.
 
 Three properties make the hop honest:
 

@@ -75,6 +75,17 @@ __all__ = ["ForecastService", "ServiceStats"]
 _DEADLINE_WAIT_GRACE = 30.0
 
 
+def _percentile(ordered: list[float], q: int) -> float:
+    """Nearest-rank ``q``-th percentile of the ascending ``ordered``.
+
+    The rank is ``ceil(q * n / 100)`` (at least 1), computed in integers
+    so float rounding cannot move it; an empty list reads 0.0.
+    """
+    if not ordered:
+        return 0.0
+    return ordered[max(1, -(-q * len(ordered) // 100)) - 1]
+
+
 def _rewrap(error: BaseException) -> BaseException:
     """A fresh exception of ``error``'s type, chained to the original.
 
@@ -209,7 +220,7 @@ class ServiceStats:
     worker_deaths: int = 0
 
     def to_dict(self) -> dict:
-        """JSON-safe payload (used by the perf harness and the CLI)."""
+        """JSON-safe payload (served on ``/statz`` and printed by the CLI)."""
         return {
             "requests": self.requests,
             "batches": self.batches,
@@ -534,11 +545,6 @@ class ForecastService:
                 time.perf_counter() - self._started_at if self._started_at else 0.0
             )
 
-        def pct(q: float) -> float:
-            if not latencies:
-                return 0.0
-            return latencies[min(len(latencies) - 1, int(q * len(latencies)))]
-
         shed, rejected, degraded, retried, broken, failed, worker_deaths = resilience
         return ServiceStats(
             requests=requests,
@@ -546,8 +552,8 @@ class ForecastService:
             mean_batch=coalesced / batches if batches else 0.0,
             requests_per_sec=requests / elapsed if elapsed > 0 else 0.0,
             latency_mean=sum(latencies) / len(latencies) if latencies else 0.0,
-            latency_p50=pct(0.50),
-            latency_p95=pct(0.95),
+            latency_p50=_percentile(latencies, 50),
+            latency_p95=_percentile(latencies, 95),
             shed=shed,
             rejected=rejected,
             degraded=degraded,
@@ -626,9 +632,11 @@ class ForecastService:
                 self._process(batch)
             except BaseException as exc:  # noqa: BLE001 - worker died mid-batch
                 # Anything escaping _process is a worker crash (request
-                # failures are isolated inside): fail the in-flight batch
-                # with a typed error so no waiter hangs, then respawn a
-                # replacement worker and let this thread die.
+                # failures are isolated inside, but only Exceptions: a
+                # backend's KeyboardInterrupt or SystemExit lands here):
+                # fail the in-flight batch with a typed error so no waiter
+                # hangs, then respawn a replacement worker and let this
+                # thread die.
                 crash = WorkerCrashedError(
                     f"serving worker {threading.current_thread().name!r} died "
                     f"mid-batch: {exc!r}"
@@ -697,7 +705,7 @@ class ForecastService:
                 stacked = np.stack([request.window for request in live])
                 predictions, tier = self._backend_predict(stacked)
                 outcomes = [(row, None, tier) for row in predictions]
-            except BaseException:  # noqa: BLE001 - fall back to isolation
+            except Exception:  # noqa: BLE001 - fall back to isolation
                 # Heterogeneous shapes or a data-dependent failure: retry
                 # singly so one bad request cannot poison its neighbours.
                 retried = len(live)
@@ -705,7 +713,7 @@ class ForecastService:
                     try:
                         rows, tier = self._backend_predict(request.window[None])
                         outcomes.append((rows[0], None, tier))
-                    except BaseException as exc:  # noqa: BLE001 - to caller
+                    except Exception as exc:  # noqa: BLE001 - to caller
                         outcomes.append((None, exc, 0))
         now = time.perf_counter()
         with self._cond:

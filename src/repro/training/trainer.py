@@ -55,8 +55,8 @@ class Trainer:
     mean over the batch, matching the accumulated-and-averaged per-sample
     gradients (dropout draws its masks in a different order per path).
 
-    ``use_batched`` forces the choice (``None`` auto-detects) — the perf
-    harness uses this to benchmark the per-sample baseline on a model
+    ``use_batched`` forces the choice (``None`` auto-detects) — the
+    equivalence tests use this to run the per-sample reference on a model
     that supports batching.
     """
 

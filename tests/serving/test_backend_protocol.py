@@ -142,7 +142,7 @@ class TestProtocolConformance:
         assert isinstance(stats, ServiceStats)
         assert stats.requests >= 1
         assert stats.latency_p95 >= 0.0
-        # And the snapshot is JSON-safe for the perf harness / statz.
+        # And the snapshot is JSON-safe for /statz.
         assert isinstance(stats.to_dict()["requests"], int)
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.api import DataSpec, ExperimentBudget, Forecaster
-from repro.serving import ForecastService
+from repro.serving import ForecastService, WorkerCrashedError
+from repro.serving.service import _percentile
 
 BUDGET = ExperimentBudget(window=8, epochs=1, train_limit=4, seed=0)
 DATASET = DataSpec(city="nyc", rows=4, cols=4, num_days=60, seed=0).load()
@@ -112,6 +113,12 @@ class TestStatsAndLifecycle:
         assert 0 < stats.latency_p50 <= stats.latency_p95
         payload = stats.to_dict()
         assert payload["requests"] == 5 and payload["latency_p95_ms"] > 0
+
+    def test_latency_percentiles_use_nearest_rank(self):
+        latencies = [ms / 1e3 for ms in range(1, 21)]
+        assert _percentile(latencies, 50) == 0.010
+        assert _percentile(latencies, 95) == 0.019
+        assert _percentile([], 95) == 0.0
 
     def test_reset_stats_zeroes_counters(self, forecaster):
         with ForecastService(forecaster) as service:
@@ -251,6 +258,30 @@ class TestErrorPropagation:
                 handle.wait(timeout=5)
         assert str(excinfo.value) == "data error 5"
         assert excinfo.value is handle.error
+
+    @pytest.mark.parametrize("signal", [KeyboardInterrupt, SystemExit])
+    def test_non_exception_from_backend_is_a_typed_worker_crash(self, signal):
+        """A backend's KeyboardInterrupt or SystemExit must not reach the
+        waiter raw (in a client's main thread it would read as Ctrl-C or
+        an exit): the batch fails with WorkerCrashedError and a respawned
+        worker serves on."""
+
+        class InterruptOnce:
+            calls = 0
+
+            def predict(self, batch):
+                InterruptOnce.calls += 1
+                if InterruptOnce.calls == 1:
+                    raise signal
+                return np.zeros((len(batch), 16, 4))
+
+        with ForecastService(InterruptOnce()) as service:
+            with pytest.raises(WorkerCrashedError):
+                service.submit(np.zeros((16, 8, 4))).wait(timeout=5)
+            assert service.predict(np.zeros((16, 8, 4)), timeout=5).shape == (16, 4)
+            stats = service.stats()
+        assert stats.worker_deaths == 1
+        assert stats.retried == 0
 
 
 class TestTimedOutRequests:

@@ -6,11 +6,14 @@ around: ``train --checkpoint`` writes a self-describing artifact and
 file alone — no model flags need to match the training invocation.
 """
 
+import re
+import threading
+
 import numpy as np
 import pytest
 
 from repro.api import REGISTRY, read_artifact
-from repro.cli import build_parser, main
+from repro.cli import _drive_clients, build_parser, main
 
 
 class TestParser:
@@ -38,6 +41,33 @@ class TestParser:
             assert args.models == [name]
             args = build_parser().parse_args(["train", "--model", name])
             assert args.model == name
+
+
+class TestDriveClients:
+    def test_issues_each_window_once_from_concurrent_clients(self):
+        """``serve``'s load driver: every window goes out exactly once, and
+        the ``clients`` threads are in flight at the same time (the barrier
+        only opens once all of them have made their first call)."""
+        clients = 3
+        windows = list(range(7))
+        barrier = threading.Barrier(clients, timeout=10)
+        lock = threading.Lock()
+        issued = []
+
+        class Recorder:
+            def predict(self, window):
+                name = threading.current_thread().name
+                with lock:
+                    first = all(thread != name for thread, _ in issued)
+                    issued.append((name, window))
+                if first:
+                    barrier.wait()
+                return window
+
+        elapsed = _drive_clients(Recorder(), windows, clients)
+        assert elapsed > 0
+        assert sorted(window for _, window in issued) == windows
+        assert len({thread for thread, _ in issued}) == clients
 
 
 SMALL = ["--rows", "4", "--cols", "4", "--days", "60"]
@@ -127,6 +157,8 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "serving ST-HSL (window=8, dtype=float32, workers=1)" in out
         assert "requests_per_sec" in out and "mean_batch" in out
+        # each of the 12 windows is issued exactly once
+        assert re.search(r"^requests\s+12\s*$", out, re.MULTILINE)
 
     def test_serve_with_worker_pool(self, trained_checkpoint, capsys):
         code = main(
