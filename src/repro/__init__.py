@@ -6,7 +6,7 @@ Public entry points:
 * :mod:`repro.api` — the unified public surface: model registry,
   ``Forecaster`` estimator, versioned checkpoint artifacts, run specs.
 * :mod:`repro.serving` — the forecast service layer: model pool,
-  cross-request micro-batching service, region-shard router.
+  cross-request micro-batching service, resilience layer, network edge.
 * :mod:`repro.nn` — numpy autograd / neural-network substrate.
 * :mod:`repro.data` — crime-data pipeline (synthetic generators calibrated
   to the paper's NYC and Chicago datasets, grid segmentation,

@@ -12,8 +12,8 @@ serving layers) speak the same language:
 * **Versioned artifacts** — checkpoints are single npz files with an
   embedded JSON manifest (schema ``repro.artifact/v2``) carrying the model
   name, build configuration, geometry, normalization statistics, training
-  metadata, the requested serving dtype and optional region-shard
-  metadata, so ``Forecaster.load`` needs the file and nothing else.
+  metadata and the requested serving dtype, so ``Forecaster.load`` needs
+  the file and nothing else.
   Older schemas upgrade transparently through :func:`migrate`.  See
   :mod:`repro.api.artifacts` for the manifest schema, and
   :mod:`repro.serving` for the serving layer built on this surface.

@@ -17,14 +17,13 @@ from the file alone — no CLI flags to match:
       "budget": {"window": 14, "epochs": 5, "...": "..."},
       "training": {"epochs_run": 5, "best_epoch": 3, "best_val_mae": 0.61},
       "served_dtype": "float32",
-      "shard": {"index": 0, "count": 2, "row_start": 0, "row_stop": 4,
-                "parent": {"rows": 8, "cols": 8, "num_categories": 4}},
+      "shard": null,
       "repro_version": "1.2.0"
     }
 
 ``schema`` is the versioned contract: loaders reject manifests whose
 schema they do not understand instead of mis-reconstructing a model.
-Two fields are new in v2 (both may be ``null``):
+Two keys are new in v2 (both may be ``null``):
 
 * ``served_dtype`` — the dtype the artifact asks to be *served* at,
   ``"float32"`` or ``"float64"`` (the weights stay in their trained
@@ -32,9 +31,9 @@ Two fields are new in v2 (both may be ``null``):
   dtype).  ``null`` means "serve at the model's native dtype".  A stored
   ``"float16"`` (a retired mode that always computed in float32) reads
   as ``"float32"``.
-* ``shard`` — region-shard metadata when the artifact covers one row
-  band of a larger parent grid (see :class:`repro.serving.ShardRouter`).
-  ``null`` for whole-grid artifacts.
+* ``shard`` — retired row-band metadata.  Writers store ``null``;
+  readers shape-check a stored block and otherwise ignore it, so a file
+  that carries one loads as a plain forecaster over its own geometry.
 
 Older schemas upgrade transparently: :func:`read_artifact` walks the
 registered migration chain (:func:`migrate`), so a v1 file written
@@ -137,11 +136,6 @@ class Artifact:
     def served_dtype(self) -> str | None:
         """Requested serving compute dtype, or None for the native dtype."""
         return self.manifest.get("served_dtype")
-
-    @property
-    def shard(self) -> dict | None:
-        """Region-shard metadata, or None for whole-grid artifacts."""
-        return self.manifest.get("shard")
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +244,7 @@ def validate_manifest(manifest: dict | None) -> dict:
     """Check a manifest against the v2 contract; raise :class:`ArtifactError`.
 
     Verifies the schema tag, the required keys, the ``served_dtype``
-    domain and (when present) the shard-metadata shape.  Returns the
+    domain and (when present) the ``shard`` block's shape.  Returns the
     manifest unchanged on success so call sites can chain it::
 
         manifest = validate_manifest(migrate(raw_manifest))
@@ -298,14 +292,12 @@ def write_artifact(
     budget: dict | None = None,
     training: dict | None = None,
     served_dtype: str | None = None,
-    shard: dict | None = None,
 ) -> dict:
     """Assemble a v2 manifest around ``state`` and write the artifact.
 
     ``served_dtype`` asks loaders to rebuild the model in that compute
-    dtype; ``shard`` marks a region-shard
-    checkpoint (see :mod:`repro.serving.router`).  Returns the manifest
-    that was written (handy for logging/tests)::
+    dtype.  Returns the manifest that was written (handy for
+    logging/tests)::
 
         manifest = write_artifact("m.npz", state=model.state_dict(), ...)
         assert manifest["schema"] == ARTIFACT_SCHEMA
@@ -320,7 +312,7 @@ def write_artifact(
         "budget": budget or {},
         "training": training or {},
         "served_dtype": served_dtype,
-        "shard": dict(shard) if shard is not None else None,
+        "shard": None,
         "repro_version": __version__,
     }
     validate_manifest(manifest)

@@ -77,8 +77,6 @@ class Forecaster:
         self.training_: dict = {}
         #: Compute dtype actually applied at load time (None = native).
         self.served_dtype: str | None = None
-        #: Region-shard metadata carried by the loaded artifact, if any.
-        self.shard: dict | None = None
 
     # ------------------------------------------------------------------
     # Properties
@@ -279,21 +277,14 @@ class Forecaster:
     # ------------------------------------------------------------------
     # Artifacts
     # ------------------------------------------------------------------
-    def save(
-        self,
-        path: str | Path,
-        *,
-        served_dtype: str | None = None,
-        shard: dict | None = None,
-    ) -> dict:
+    def save(self, path: str | Path, *, served_dtype: str | None = None) -> dict:
         """Write a versioned artifact; returns the manifest written.
 
         ``served_dtype`` records the compute dtype the artifact asks to
         be served at (``"float32"`` is the serving mode — weights stay in
         their trained dtype, :meth:`load` rebuilds the model in the
-        requested dtype); ``shard`` attaches region-shard metadata (see
-        :mod:`repro.serving.router`).  Both default to None — the plain
-        whole-grid, native-dtype artifact::
+        requested dtype).  The default None writes a native-dtype
+        artifact::
 
             fc.save("model.npz", served_dtype="float32")
         """
@@ -314,7 +305,6 @@ class Forecaster:
             budget=self.budget.to_dict(),
             training=self.training_,
             served_dtype=served_dtype,
-            shard=shard,
         )
 
     @classmethod
@@ -381,5 +371,4 @@ class Forecaster:
         forecaster.sigma = float(artifact.normalization["sigma"])
         forecaster.categories = artifact.categories
         forecaster.training_ = dict(artifact.training)
-        forecaster.shard = artifact.shard
         return forecaster

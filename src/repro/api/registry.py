@@ -118,21 +118,16 @@ class ModelSpec:
     ``supports_batching`` — whether the model implements the batched duck
     type (``training_loss_batch``/``predict_batch``) so the trainer can run
     one vectorized step per batch instead of per-sample accumulation.
-    ``shardable`` — whether the model is meaningful to train and serve on
-    a row band of a larger grid (grid-/graph-local models and per-series
-    statistical methods; global-attention models lose their context when
-    sharded).  :class:`repro.serving.ShardRouter` refuses non-shardable
-    specs.  Example::
+    Example::
 
         spec = REGISTRY.spec("ST-HSL")
-        assert spec.supports_batching and spec.shardable
+        assert spec.supports_batching and spec.requires_training
     """
 
     name: str
     builder: Builder = field(repr=False)
     requires_training: bool = True
     supports_batching: bool = False
-    shardable: bool = False
     description: str = ""
 
     def build(self, geometry: ModelGeometry, window: int, hidden: int = 16, seed: int = 0, **overrides):
@@ -167,7 +162,6 @@ class ModelRegistry:
         *,
         requires_training: bool = True,
         supports_batching: bool = False,
-        shardable: bool = False,
         description: str = "",
     ) -> Callable[[Builder], Builder]:
         """Decorator registering ``fn(geometry, *, window, hidden, seed, **ov)``."""
@@ -180,7 +174,6 @@ class ModelRegistry:
                 builder=builder,
                 requires_training=requires_training,
                 supports_batching=supports_batching,
-                shardable=shardable,
                 description=description,
             )
             return builder
@@ -242,7 +235,7 @@ REGISTRY = ModelRegistry()
 # ST-HSL (the paper's model) — registered as just another entry.
 # ----------------------------------------------------------------------
 @REGISTRY.register(
-    "ST-HSL", shardable=True,
+    "ST-HSL",
     supports_batching=True,
     description="Spatial-Temporal Hypergraph Self-Supervised Learning (this paper)",
 )
@@ -263,7 +256,7 @@ def _build_sthsl(geometry: ModelGeometry, *, window: int, hidden: int, seed: int
 # ----------------------------------------------------------------------
 # Table III baselines, in the paper's row order.
 # ----------------------------------------------------------------------
-@REGISTRY.register("ARIMA", requires_training=False, shardable=True, description="per-series ARIMA (Hannan–Rissanen)")
+@REGISTRY.register("ARIMA", requires_training=False, description="per-series ARIMA (Hannan–Rissanen)")
 def _build_arima(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
     return ARIMA(**overrides)
 
@@ -273,26 +266,26 @@ def _build_svm(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, 
     return SVR(window=window, num_categories=geometry.num_categories, seed=seed, **overrides)
 
 
-@REGISTRY.register("ST-ResNet", shardable=True, description="residual CNN over the region grid")
+@REGISTRY.register("ST-ResNet", description="residual CNN over the region grid")
 def _build_st_resnet(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
     return STResNet(
         geometry.rows, geometry.cols, geometry.num_categories, window, hidden=hidden, seed=seed, **overrides
     )
 
 
-@REGISTRY.register("DCRNN", shardable=True, supports_batching=True, description="diffusion-convolutional RNN")
+@REGISTRY.register("DCRNN", supports_batching=True, description="diffusion-convolutional RNN")
 def _build_dcrnn(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
     return DCRNN(geometry.adjacency(), geometry.num_categories, hidden=hidden, seed=seed, **overrides)
 
 
-@REGISTRY.register("STGCN", shardable=True, supports_batching=True, description="sandwich ST-Conv blocks over the region graph")
+@REGISTRY.register("STGCN", supports_batching=True, description="sandwich ST-Conv blocks over the region graph")
 def _build_stgcn(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
     return STGCN(
         geometry.normalized_adjacency(), geometry.num_categories, window, hidden=hidden, seed=seed, **overrides
     )
 
 
-@REGISTRY.register("GWN", shardable=True, supports_batching=True, description="Graph WaveNet: adaptive adjacency + dilated TCN")
+@REGISTRY.register("GWN", supports_batching=True, description="Graph WaveNet: adaptive adjacency + dilated TCN")
 def _build_gwn(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
     return GraphWaveNet(geometry.adjacency(), geometry.num_categories, hidden=hidden, seed=seed, **overrides)
 
@@ -307,7 +300,7 @@ def _build_deepcrime(geometry: ModelGeometry, *, window: int, hidden: int, seed:
     return DeepCrime(geometry.num_regions, geometry.num_categories, hidden=hidden, seed=seed, **overrides)
 
 
-@REGISTRY.register("STDN", shardable=True, description="flow-gated CNN-LSTM with periodic attention")
+@REGISTRY.register("STDN", description="flow-gated CNN-LSTM with periodic attention")
 def _build_stdn(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
     return STDN(
         geometry.rows, geometry.cols, geometry.num_categories, window, hidden=hidden, seed=seed, **overrides
@@ -349,6 +342,6 @@ def _build_dmstgcn(geometry: ModelGeometry, *, window: int, hidden: int, seed: i
 # ----------------------------------------------------------------------
 # Reference forecaster (not a Table III row, but the canonical lower bar).
 # ----------------------------------------------------------------------
-@REGISTRY.register("HA", requires_training=False, shardable=True, description="historical average of the window")
+@REGISTRY.register("HA", requires_training=False, description="historical average of the window")
 def _build_ha(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
     return HistoricalAverage(**overrides)

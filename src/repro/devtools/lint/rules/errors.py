@@ -33,27 +33,10 @@ _VALIDATION_ERRORS = frozenset(
     {"ValueError", "TypeError", "KeyError", "IndexError", "NotImplementedError", "AssertionError"}
 )
 
-#: Fallback taxonomy if ``repro.serving.errors`` cannot be imported
-#: (e.g. linting a checkout from outside the package).
-_FALLBACK_TAXONOMY = frozenset(
-    {
-        "ServingError",
-        "DeadlineExceededError",
-        "ServiceOverloadedError",
-        "ServiceStoppedError",
-        "CircuitOpenError",
-        "ArtifactLoadError",
-        "ShardFailedError",
-        "WorkerCrashedError",
-    }
-)
-
 
 def _taxonomy() -> frozenset:
-    try:
-        from repro.serving import errors as serving_errors
-    except Exception:  # pragma: no cover - lint outside an installed tree
-        return _FALLBACK_TAXONOMY
+    from ....serving import errors as serving_errors
+
     return frozenset(serving_errors.__all__)
 
 

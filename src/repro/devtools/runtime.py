@@ -58,7 +58,7 @@ class LockOrderError(AssertionError):
         try:
             monitor.assert_clean()
         except LockOrderError as err:
-            print(err)   # "lock-order inversion: Pool._lock <-> Router._lock"
+            print(err)   # "lock-order inversion: Pool._lock <-> Service._lock"
     """
 
 

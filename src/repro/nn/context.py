@@ -21,10 +21,10 @@ one thread are invisible to every other — the same per-thread grad-mode
 discipline torch's autograd uses.
 
 The serving layer builds directly on this: ``ForecastService`` worker
-threads and ``ShardRouter`` fan-out threads each predict under their own
-context (and their own per-thread model arena, see
-:meth:`repro.nn.Module._inference_arena`), which is what makes
-concurrent ``predict`` bitwise-equal to the sequential answers.
+threads each predict under their own context (and their own per-thread
+model arena, see :meth:`repro.nn.Module._inference_arena`), which is
+what makes concurrent ``predict`` bitwise-equal to the sequential
+answers.
 """
 
 from __future__ import annotations

@@ -144,7 +144,8 @@ class BatchNorm2d(Module):
     """Batch normalisation over ``(N, C, H, W)`` images.
 
     Used by the ST-ResNet baseline's residual units, as in the original
-    architecture.  Running statistics are tracked for eval mode.
+    architecture.  Running statistics are tracked for eval mode and saved
+    with the state as buffers.
     """
 
     def __init__(self, num_channels: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -153,8 +154,8 @@ class BatchNorm2d(Module):
         self.momentum = momentum
         self.gamma = Parameter(np.ones(num_channels))
         self.beta = Parameter(np.zeros(num_channels))
-        self.running_mean = np.zeros(num_channels)
-        self.running_var = np.ones(num_channels)
+        self.register_buffer("running_mean", np.zeros(num_channels))
+        self.register_buffer("running_var", np.ones(num_channels))
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training:

@@ -2,7 +2,9 @@
 
 A :class:`Module` discovers parameters and child modules through attribute
 assignment, supports train/eval mode switching (needed for dropout), and
-exposes ``state_dict``/``load_state_dict`` for serialization.
+exposes ``state_dict``/``load_state_dict`` for serialization, covering
+parameters and registered buffers (non-trainable state such as batch-norm
+running statistics).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ class Module:
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", {})
         object.__setattr__(self, "_modules", {})
+        object.__setattr__(self, "_buffers", [])
         object.__setattr__(self, "training", True)
 
     def __setattr__(self, name: str, value) -> None:
@@ -58,6 +61,24 @@ class Module:
             yield (f"{prefix}{name}", param)
         for name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{name}.")
+
+    def register_buffer(self, name: str, value) -> None:
+        """Set ``name`` to the array ``value`` and save it with the state.
+
+        Buffers are read by attribute name, so the owner may update them
+        in place or reassign them.  :meth:`load_state_dict` restores them
+        in place when the state carries them and leaves them untouched
+        when it does not.
+        """
+        if name not in self._buffers:
+            self._buffers.append(name)
+        object.__setattr__(self, name, np.asarray(value))
+
+    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
+        for name in self._buffers:
+            yield (f"{prefix}{name}", getattr(self, name))
+        for name, module in self._modules.items():
+            yield from module.named_buffers(prefix=f"{prefix}{name}.")
 
     def modules(self) -> Iterator["Module"]:
         yield self
@@ -194,12 +215,17 @@ class Module:
     # Serialization
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: param.data.copy() for name, param in self.named_parameters()}
+        state = {name: param.data.copy() for name, param in self.named_parameters()}
+        state.update((name, buffer.copy()) for name, buffer in self.named_buffers())
+        return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         own = dict(self.named_parameters())
+        buffers = dict(self.named_buffers())
+        # Parameters are strict; buffers are optional, so a state saved
+        # before they were persisted still loads with the initial values.
         missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
+        unexpected = set(state) - set(own) - set(buffers)
         if missing or unexpected:
             raise KeyError(f"state_dict mismatch: missing={sorted(missing)}, unexpected={sorted(unexpected)}")
         for name, param in own.items():
@@ -207,6 +233,12 @@ class Module:
             if value.shape != param.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {value.shape} vs {param.data.shape}")
             param.data = value.astype(param.data.dtype).copy()
+        for name, buffer in buffers.items():
+            if name in state:
+                value = np.asarray(state[name])
+                if value.shape != buffer.shape:
+                    raise ValueError(f"shape mismatch for {name}: {value.shape} vs {buffer.shape}")
+                buffer[...] = value
 
     # ------------------------------------------------------------------
     # Invocation

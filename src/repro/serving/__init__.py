@@ -1,6 +1,6 @@
 """``repro.serving`` — the forecast serving layer on top of ``repro.api``.
 
-Three composable pieces turn saved checkpoint artifacts into a service
+Two composable pieces turn saved checkpoint artifacts into a service
 that absorbs concurrent traffic:
 
 * :class:`ModelPool` — lazy artifact loading with an LRU + pin policy
@@ -13,12 +13,6 @@ that absorbs concurrent traffic:
   thread-local (:class:`repro.nn.ExecutionContext`), so parallel workers
   return exactly the sequential answers; on one core, keep the default
   single worker and let micro-batching do the work.
-* :class:`ShardRouter` — region sharding for grids too large for one
-  model: each shard artifact owns a contiguous row band, the router
-  slices incoming windows per band (``parallel=True`` fans the bands out
-  to per-shard threads) and merges the outputs.  A router is itself a
-  valid ``ForecastService`` backend, so sharding and micro-batching
-  compose.
 
 On top sits the fault-tolerance layer: per-request deadlines
 (:class:`Deadline`), a bounded admission queue, :class:`RetryPolicy`
@@ -56,17 +50,6 @@ Serve one artifact to concurrent clients::
         counts = service.predict(history)        # from any thread
     print(service.stats().to_dict())             # req/s, batch size, latency
 
-Shard a large grid across two models and serve the merged geometry::
-
-    from repro.serving import ShardRouter, train_shards
-
-    shards = train_shards("ST-HSL", dataset, num_shards=2, budget=budget)
-    for i, fc in enumerate(shards):
-        fc.save(f"shard{i}.npz", shard=fc.shard)
-    router = ShardRouter.from_artifacts(["shard0.npz", "shard1.npz"], pool=pool)
-    with ForecastService(router) as service:
-        counts = service.predict(full_grid_window)
-
 See ``docs/serving.md`` for the request lifecycle, micro-batching
 semantics and the artifact v2 schema this layer relies on.
 """
@@ -83,7 +66,6 @@ from .errors import (
     ServiceOverloadedError,
     ServiceStoppedError,
     ServingError,
-    ShardFailedError,
     WorkerCrashedError,
 )
 from .faultinject import FaultPlan, InjectedFault, corrupt_artifact
@@ -97,7 +79,6 @@ from .resilience import (
     RetryPolicy,
     build_fallback_tier,
 )
-from .router import ShardRouter, shard_dataset, split_rows, train_shards
 from .rpc import RPC_SCHEMA
 from .service import ForecastService, ServiceStats
 from .workers import WorkerPool
@@ -107,10 +88,6 @@ __all__ = [
     "PoolStats",
     "ForecastService",
     "ServiceStats",
-    "ShardRouter",
-    "shard_dataset",
-    "split_rows",
-    "train_shards",
     # network edge
     "ForecastBackend",
     "NetworkServer",
@@ -136,7 +113,6 @@ __all__ = [
     "ServiceStoppedError",
     "CircuitOpenError",
     "ArtifactLoadError",
-    "ShardFailedError",
     "WorkerCrashedError",
     "BadRequestError",
     "RateLimitedError",

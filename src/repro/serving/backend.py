@@ -8,9 +8,8 @@ anything a client can submit raw-count windows to and get ``(R, C)``
 predictions back from, whether the compute happens on a thread in this
 process (:class:`~repro.serving.ForecastService`), behind a pool of
 worker processes (a service over a :class:`~repro.serving.WorkerPool`),
-across row-band shards (a service over a
-:class:`~repro.serving.ShardRouter`), or on the other side of an HTTP
-connection (:class:`~repro.serving.RemoteForecastService`).
+or on the other side of an HTTP connection
+(:class:`~repro.serving.RemoteForecastService`).
 
 All implementations are exercised by one parametrized conformance suite
 (``tests/serving/test_backend_protocol.py``), so the duck type can no
@@ -30,7 +29,7 @@ __all__ = ["ForecastBackend"]
 class ForecastBackend(Protocol):
     """Structural interface every forecast service front-end satisfies.
 
-    The five-method contract clients program against — local, sharded,
+    The five-method contract clients program against — local,
     process-worker and remote implementations are interchangeable::
 
         def drive(backend: ForecastBackend, windows) -> list:

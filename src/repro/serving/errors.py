@@ -22,7 +22,6 @@ __all__ = [
     "ServiceStoppedError",
     "CircuitOpenError",
     "ArtifactLoadError",
-    "ShardFailedError",
     "WorkerCrashedError",
     "BadRequestError",
     "RateLimitedError",
@@ -89,13 +88,13 @@ class CircuitOpenError(ServingError):
     """A circuit breaker is open: the call failed fast without running.
 
     Raised when a :class:`~repro.serving.CircuitBreaker` guarding a
-    model, fallback tier or shard band refuses traffic after too many
-    consecutive failures (and no fallback tier could answer)::
+    model or fallback tier refuses traffic after too many consecutive
+    failures (and no fallback tier could answer)::
 
         try:
-            router.predict(window)
+            chain.predict(window)
         except CircuitOpenError:
-            ...  # the band is broken; probe again after reset_timeout
+            ...  # every tier is broken; probe again after reset_timeout
     """
 
 
@@ -110,19 +109,6 @@ class ArtifactLoadError(ServingError):
             pool.get("corrupt.npz")
         except ArtifactLoadError as exc:
             print(exc.__cause__)  # the underlying loader error
-    """
-
-
-class ShardFailedError(ServingError):
-    """One shard band of a :class:`~repro.serving.ShardRouter` failed.
-
-    The message names the shard index and row band; the underlying model
-    error is chained as ``__cause__``::
-
-        try:
-            router.predict(window)
-        except ShardFailedError as exc:
-            print(exc)  # "shard 1 (rows [3, 6)) failed: ..."
     """
 
 

@@ -18,8 +18,6 @@ site                      fired
                           spike)
 ``"service.worker"``      once per drained batch, *outside* request isolation
                           (raise → the worker thread dies mid-batch)
-``"router.shard"``        before each shard band predict (raise → band
-                          retry/breaker/ShardFailedError)
 ``"net.accept"``          per accepted connection, before the first read
                           (raise → the connection is dropped unanswered —
                           a client that vanished)

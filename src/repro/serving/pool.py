@@ -223,7 +223,7 @@ class ModelPool:
 
         Returns the forecaster, so ``pool.pin(p)`` doubles as a warm-up::
 
-            router_shards = [pool.pin(p) for p in shard_paths]
+            primary = pool.pin("sthsl.npz")
 
         Raises :class:`~repro.serving.ServingError` (a ``RuntimeError``)
         when the pool is already full of pinned entries — a pin that

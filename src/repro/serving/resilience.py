@@ -9,13 +9,12 @@ defined here:
   expired requests *before* compute; clients never block meaningfully
   past their budget.
 * :class:`RetryPolicy` — capped exponential backoff with deterministic
-  (seeded) jitter for transient failures: artifact loads in
-  :class:`~repro.serving.ModelPool`, band predicts in
-  :class:`~repro.serving.ShardRouter`.
+  (seeded) jitter for transient failures, such as artifact loads in
+  :class:`~repro.serving.ModelPool`.
 * :class:`CircuitBreaker` — closed → open after N consecutive failures →
-  a single half-open probe after a cooldown.  Guards models, fallback
-  tiers and shard bands so a broken dependency fails fast instead of
-  eating a timeout per request.
+  a single half-open probe after a cooldown.  Guards models and fallback
+  tiers so a broken dependency fails fast instead of eating a timeout
+  per request.
 * :class:`FallbackChain` — ordered degradation: when the primary model's
   breaker is open or its predict raises, a cheaper always-available tier
   (e.g. the registered ``HA`` baseline, see :func:`build_fallback_tier`)

@@ -53,7 +53,6 @@ from .errors import (
     ServiceOverloadedError,
     ServiceStoppedError,
     ServingError,
-    ShardFailedError,
     WorkerCrashedError,
 )
 
@@ -92,7 +91,6 @@ ERROR_CODES = MappingProxyType(
         "stopped": (ServiceStoppedError, 503),
         "circuit_open": (CircuitOpenError, 503),
         "worker_crashed": (WorkerCrashedError, 500),
-        "shard_failed": (ShardFailedError, 500),
         "artifact_load": (ArtifactLoadError, 500),
         "remote": (RemoteError, 502),
         "internal": (ServingError, 500),
@@ -103,12 +101,13 @@ ERROR_CODES = MappingProxyType(
 def loads(body: bytes | str) -> dict:
     """Parse a wire payload: JSON that must decode to an object.
 
-    Raises :class:`~repro.serving.BadRequestError` on malformed JSON or
-    a non-object top level — the 400 path of every POST endpoint.
+    Raises :class:`~repro.serving.BadRequestError` on malformed JSON,
+    nesting too deep for the parser, or a non-object top level — the 400
+    path of every POST endpoint.
     """
     try:
         payload = json.loads(body)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise BadRequestError(f"request body is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise BadRequestError(
@@ -140,7 +139,7 @@ def _decode_window(value, field: str) -> np.ndarray:
     """A numeric ``(R, W, C)`` array from nested JSON lists."""
     try:
         window = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadRequestError(f"{field!r} is not a numeric array: {exc}") from exc
     if window.ndim != 3 or window.size == 0:
         raise BadRequestError(

@@ -30,8 +30,8 @@ Request lifecycle::
 
 The backend is anything mapping a stacked ``(B, R, W, C)`` batch of raw
 count windows to ``(B, R, C)`` predictions — a
-:class:`~repro.api.Forecaster`, a :class:`~repro.serving.ShardRouter`,
-or a :class:`~repro.serving.FallbackChain`.
+:class:`~repro.api.Forecaster` or a
+:class:`~repro.serving.FallbackChain`.
 
 The service also carries the in-process failure model (see
 ``docs/serving.md`` "Failure model and degradation ladder"): per-request

@@ -9,6 +9,7 @@ from repro import nn
 from repro.api import (
     ARTIFACT_SCHEMA,
     ARTIFACT_SCHEMA_V1,
+    REGISTRY,
     ArtifactError,
     DataSpec,
     ExperimentBudget,
@@ -17,6 +18,8 @@ from repro.api import (
     migrate,
     read_artifact,
 )
+from repro.api.artifacts import validate_manifest
+from repro.cli import main
 
 BUDGET = ExperimentBudget(window=8, epochs=1, train_limit=4, seed=0)
 DATASET = DataSpec(city="nyc", rows=4, cols=4, num_days=60, seed=0).load()
@@ -24,6 +27,12 @@ DATASET = DataSpec(city="nyc", rows=4, cols=4, num_days=60, seed=0).load()
 
 def _fitted(model="ST-HSL", **kwargs):
     return Forecaster(model, budget=BUDGET, hidden=6, **kwargs).fit(DATASET)
+
+
+@pytest.fixture(scope="module", params=REGISTRY.names())
+def zoo_forecaster(request):
+    """Each registered model, fitted once for all its cases."""
+    return _fitted(request.param)
 
 
 def _tamper(path, out, **manifest_changes):
@@ -35,15 +44,23 @@ def _tamper(path, out, **manifest_changes):
 
 
 class TestRoundTrip:
-    def test_predictions_bitwise_identical_after_reload(self, tmp_path):
-        forecaster = _fitted()
+    @pytest.mark.parametrize("served_dtype", [None, "float32"])
+    def test_every_model_round_trips(self, tmp_path, zoo_forecaster, served_dtype):
         path = tmp_path / "model.npz"
-        forecaster.save(path)
-        clone = Forecaster.load(path)
-        history = DATASET.tensor[:, 20:28, :]  # raw counts
-        original = forecaster.predict(history)
-        reloaded = clone.predict(history)
-        assert (original == reloaded).all()
+        zoo_forecaster.save(path)
+        loaded = Forecaster.load(path, served_dtype=served_dtype)
+        params = list(loaded.model.parameters())
+        all_float32 = bool(params) and all(p.data.dtype == np.float32 for p in params)
+        assert loaded.served_dtype == ("float32" if all_float32 else None)
+        window = DATASET.tensor[:, 20:28, :]  # raw counts
+        batch = np.stack([DATASET.tensor[:, t : t + 8, :] for t in (10, 20, 30)])
+        for history in (window, batch):
+            expected = zoo_forecaster.predict(history)
+            got = loaded.predict(history)
+            if loaded.served_dtype is None:
+                assert np.array_equal(got, expected)
+            else:
+                assert np.abs(got - expected).max() <= 1e-4
 
     def test_manifest_carries_config_and_stats(self, tmp_path):
         forecaster = _fitted()
@@ -68,23 +85,6 @@ class TestRoundTrip:
         assert clone.budget == BUDGET
         assert clone.categories == DATASET.categories
         assert clone.window == BUDGET.window
-
-    def test_baseline_artifact_round_trips(self, tmp_path):
-        forecaster = _fitted("STGCN")
-        path = tmp_path / "stgcn.npz"
-        forecaster.save(path)
-        clone = Forecaster.load(path)
-        assert clone.model_name == "STGCN"
-        history = DATASET.tensor[:, 30:38, :]
-        assert (forecaster.predict(history) == clone.predict(history)).all()
-
-    def test_parameterless_model_round_trips(self, tmp_path):
-        forecaster = _fitted("HA")
-        path = tmp_path / "ha.npz"
-        forecaster.save(path)
-        clone = Forecaster.load(path)
-        history = DATASET.tensor[:, 10:18, :]
-        assert (forecaster.predict(history) == clone.predict(history)).all()
 
 
 class TestRejection:
@@ -121,6 +121,16 @@ class TestRejection:
         _tamper(path, bad, geometry=None)
         with pytest.raises(ArtifactError, match="missing required keys"):
             Forecaster.load(bad)
+
+
+#: A row-band block as earlier writers stored it under the v2 ``shard`` key.
+SHARD_BLOCK = {
+    "index": 0,
+    "count": 2,
+    "row_start": 0,
+    "row_stop": 2,
+    "parent": {"rows": 4, "cols": 4, "num_categories": 4},
+}
 
 
 def _write_v1(forecaster, path):
@@ -162,7 +172,7 @@ class TestMigration:
         _write_v1(forecaster, path)
         artifact = read_artifact(path)
         assert artifact.manifest["schema"] == ARTIFACT_SCHEMA
-        assert artifact.served_dtype is None and artifact.shard is None
+        assert artifact.served_dtype is None and artifact.manifest["shard"] is None
         # the file itself is untouched
         raw_manifest, _ = nn.load_archive(path)
         assert raw_manifest["schema"] == ARTIFACT_SCHEMA_V1
@@ -237,34 +247,27 @@ class TestMigration:
         assert np.array_equal(loaded.predict(history), expected)
 
     def test_shard_metadata_round_trips(self, tmp_path):
+        """A file carrying a retired row-band ``shard`` block loads as a
+        plain forecaster, and ``migrate-artifact`` keeps the block."""
         forecaster = _fitted()
-        shard = {
-            "index": 0,
-            "count": 2,
-            "row_start": 0,
-            "row_stop": 2,
-            "parent": {"rows": 4, "cols": 4, "num_categories": 4},
-        }
-        path = tmp_path / "shard.npz"
-        forecaster.save(path, shard=shard)
-        loaded = Forecaster.load(path)
-        assert loaded.shard == shard
+        path = tmp_path / "model.npz"
+        assert forecaster.save(path)["shard"] is None
+        manifest, state = nn.load_archive(path)
+        banded = tmp_path / "banded.npz"
+        nn.save_archive(banded, state, dict(manifest, shard=SHARD_BLOCK))
+        loaded = Forecaster.load(banded)
+        history = DATASET.tensor[:, 20:28, :]
+        assert np.array_equal(loaded.predict(history), forecaster.predict(history))
+        migrated = tmp_path / "migrated.npz"
+        assert main(["migrate-artifact", "--checkpoint", str(banded), "--out", str(migrated)]) == 0
+        assert nn.load_archive(migrated)[0]["shard"] == SHARD_BLOCK
 
     def test_malformed_shard_metadata_rejected(self, tmp_path):
-        forecaster = _fitted()
+        manifest = _fitted().save(tmp_path / "model.npz")
         with pytest.raises(ArtifactError, match="shard"):
-            forecaster.save(tmp_path / "bad.npz", shard={"index": 0})
+            validate_manifest(dict(manifest, shard={"index": 0}))
         with pytest.raises(ArtifactError, match="out of range"):
-            forecaster.save(
-                tmp_path / "bad.npz",
-                shard={
-                    "index": 5,
-                    "count": 2,
-                    "row_start": 0,
-                    "row_stop": 2,
-                    "parent": {"rows": 4, "cols": 4, "num_categories": 4},
-                },
-            )
+            validate_manifest(dict(manifest, shard=dict(SHARD_BLOCK, index=5)))
 
 
 class TestEstimator:

@@ -68,3 +68,28 @@ class TestBatchNorm2d:
         loss = model.training_loss(window, np.zeros((16, 2)))
         loss.backward()
         assert np.isfinite(float(loss.data))
+
+    def test_running_stats_survive_state_dict_round_trip(self):
+        bn = nn.BatchNorm2d(3)
+        bn.train()
+        for seed in range(5):
+            bn(_x(seed=seed))
+        fresh = nn.BatchNorm2d(3)
+        fresh.load_state_dict(bn.state_dict())
+        assert np.array_equal(fresh.running_mean, bn.running_mean)
+        assert np.array_equal(fresh.running_var, bn.running_var)
+        bn.eval()
+        fresh.eval()
+        x = _x(seed=99)
+        assert np.array_equal(fresh(x).data, bn(x).data)
+
+    def test_parameter_only_state_keeps_initial_stats(self):
+        bn = nn.BatchNorm2d(3)
+        bn.train()
+        bn(_x())
+        params = {name: p.data.copy() for name, p in bn.named_parameters()}
+        fresh = nn.BatchNorm2d(3)
+        fresh.load_state_dict(params)
+        assert np.array_equal(fresh.gamma.data, bn.gamma.data)
+        assert np.array_equal(fresh.running_mean, np.zeros(3))
+        assert np.array_equal(fresh.running_var, np.ones(3))

@@ -33,7 +33,6 @@ from repro.serving import (
     ModelPool,
     RemoteForecastService,
     RetryPolicy,
-    ShardRouter,
     TokenBucket,
     WorkerPool,
 )
@@ -47,7 +46,6 @@ NETWORK_TEST_TIMEOUT = int(os.environ.get("NETWORK_TEST_TIMEOUT", "120"))
 _MONITORED_CLASSES = (
     ForecastService,
     ModelPool,
-    ShardRouter,
     FaultPlan,
     RetryPolicy,
     CircuitBreaker,

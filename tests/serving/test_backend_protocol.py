@@ -6,7 +6,6 @@ implementation re-invented; now the contract is
 the **same** tests:
 
 * ``local`` — :class:`~repro.serving.ForecastService` over the model
-* ``sharded`` — a service over a :class:`~repro.serving.ShardRouter`
 * ``process`` — a service over a :class:`~repro.serving.WorkerPool`
   of forked worker processes
 * ``remote`` — :class:`~repro.serving.RemoteForecastService` over a
@@ -15,8 +14,8 @@ the **same** tests:
 Each backend must satisfy the protocol structurally *and*
 behaviourally: submit→handle→wait, blocking predict, ordered
 predict_many, ServiceStats snapshots, typed errors after stop, and
-idempotent shutdown.  The single-artifact backends (local, process,
-remote) must additionally agree **bitwise** on every prediction.
+idempotent shutdown.  All three serve one artifact and must
+additionally agree **bitwise** on every prediction.
 
 Select with ``-m network`` (the remote/process params need sockets and
 subprocesses).
@@ -33,9 +32,7 @@ from repro.serving import (
     RemoteForecastService,
     ServiceStats,
     ServingError,
-    ShardRouter,
     WorkerPool,
-    train_shards,
 )
 
 pytestmark = pytest.mark.network
@@ -43,7 +40,7 @@ pytestmark = pytest.mark.network
 BUDGET = ExperimentBudget(window=8, epochs=1, train_limit=4, seed=0)
 DATASET = DataSpec(city="nyc", rows=4, cols=4, num_days=60, seed=0).load()
 
-BACKENDS = ("local", "sharded", "process", "remote")
+BACKENDS = ("local", "process", "remote")
 
 
 @pytest.fixture(scope="module")
@@ -59,17 +56,6 @@ def artifact(tmp_path_factory, forecaster):
 
 
 @pytest.fixture(scope="module")
-def shard_artifacts(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("backend_shards")
-    paths = []
-    for i, fc in enumerate(train_shards("HA", DATASET, num_shards=2, budget=BUDGET)):
-        path = directory / f"shard{i}.npz"
-        fc.save(path, shard=fc.shard)
-        paths.append(str(path))
-    return paths
-
-
-@pytest.fixture(scope="module")
 def shared_server(forecaster):
     # One live server reused by every remote-param test (each test gets
     # its own client); max_batch=1 pins batch composition for bitwise
@@ -80,14 +66,10 @@ def shared_server(forecaster):
 
 
 @pytest.fixture(params=BACKENDS)
-def backend(request, forecaster, artifact, shard_artifacts, shared_server):
+def backend(request, forecaster, artifact, shared_server):
     """A started ForecastBackend of the parametrized flavour."""
     if request.param == "local":
         with ForecastService(forecaster, max_batch=1) as service:
-            yield service
-    elif request.param == "sharded":
-        router = ShardRouter.from_artifacts(shard_artifacts)
-        with ForecastService(router, max_batch=1) as service:
             yield service
     elif request.param == "process":
         with WorkerPool(artifact, workers=1, job_timeout=60.0) as pool:
@@ -148,16 +130,12 @@ class TestProtocolConformance:
 
 class TestShutdownSemantics:
     @pytest.fixture()
-    def stoppable(self, request, forecaster, artifact, shard_artifacts, shared_server):
+    def stoppable(self, request, forecaster, artifact, shared_server):
         # Backends the test is allowed to stop (module-shared fixtures
         # must survive, so each flavour is built fresh here).
         flavour = request.param
         if flavour == "local":
             yield ForecastService(forecaster, max_batch=1).start()
-        elif flavour == "sharded":
-            yield ForecastService(
-                ShardRouter.from_artifacts(shard_artifacts), max_batch=1
-            ).start()
         elif flavour == "process":
             pool = WorkerPool(artifact, workers=1, job_timeout=60.0).start()
             yield ForecastService(pool, max_batch=1).start()

@@ -3,10 +3,9 @@
 The acceptance contract of the thread-local ExecutionContext refactor:
 ``Forecaster.predict``/``predict_batch`` called from N threads (covering
 the graph-building, plain no-grad, and arena-backed paths) must produce
-answers *bitwise equal* to the sequential ones; the parallel
-``ShardRouter`` fan-out and the multi-worker ``ForecastService`` must
-preserve the same guarantee; and ``ModelPool.pin`` must honour its
-capacity contract under contention.
+answers *bitwise equal* to the sequential ones; the multi-worker
+``ForecastService`` must preserve the same guarantee; and
+``ModelPool.pin`` must honour its capacity contract under contention.
 """
 
 import threading
@@ -22,8 +21,6 @@ from repro.serving import (
     ForecastService,
     InjectedFault,
     ModelPool,
-    ShardRouter,
-    train_shards,
 )
 
 BUDGET = ExperimentBudget(window=8, epochs=1, train_limit=4, seed=0)
@@ -193,69 +190,6 @@ class TestConcurrentService:
             ]
             assert len(alive) == 4, f"worker pool degraded to {len(alive)} threads"
             assert service.stats().requests == 240
-
-
-class TestParallelShardRouter:
-    @pytest.fixture(scope="class")
-    def shards(self):
-        return train_shards("ST-HSL", DATASET, 2, budget=BUDGET, hidden=6)
-
-    def test_parallel_fanout_bitwise_equals_sequential(self, shards):
-        sequential = ShardRouter(shards)
-        parallel = ShardRouter(shards, parallel=True)
-        try:
-            window = windows(1)[0]
-            batch = np.stack(windows(4))
-            assert np.array_equal(parallel.predict(window), sequential.predict(window))
-            assert np.array_equal(parallel.predict(batch), sequential.predict(batch))
-        finally:
-            parallel.close()
-
-    def test_parallel_router_under_concurrent_clients(self, shards):
-        router = ShardRouter(shards, parallel=True)
-        try:
-            window = windows(1)[0]
-            expected = router.predict(window)
-            results = {}
-
-            def worker(idx):
-                results[idx] = [router.predict(window) for _ in range(4)]
-
-            run_threads(worker, count=4)
-            for idx in range(4):
-                for got in results[idx]:
-                    assert np.array_equal(got, expected)
-        finally:
-            router.close()
-
-    def test_shard_affinity_keeps_one_arena_per_shard(self, shards):
-        """Each shard is pinned to its own single-thread executor, so S
-        shards warm S per-thread arenas — not the S^2 a shared pool's
-        arbitrary task placement would create."""
-        router = ShardRouter(shards, parallel=True)
-        try:
-            window = windows(1)[0]
-            router.predict(window)
-            before = {
-                id(fc): len(fc.model._arena_state()["by_thread"]) for fc in router.shards
-            }
-            for _ in range(8):
-                router.predict(window)
-            for fc in router.shards:
-                # Repeated fan-outs add no new per-thread arenas: shard i
-                # is always served by its own pinned executor thread.
-                assert len(fc.model._arena_state()["by_thread"]) == before[id(fc)]
-        finally:
-            router.close()
-
-    def test_close_is_idempotent_and_reusable(self, shards):
-        router = ShardRouter(shards, parallel=True)
-        window = windows(1)[0]
-        first = router.predict(window)
-        router.close()
-        router.close()  # no-op
-        assert np.array_equal(router.predict(window), first)  # pool respawns
-        router.close()
 
 
 class TestPoolPinContention:

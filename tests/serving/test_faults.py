@@ -20,7 +20,6 @@ import pytest
 from repro.api import DataSpec, ExperimentBudget, Forecaster
 from repro.serving import (
     ArtifactLoadError,
-    CircuitOpenError,
     DeadlineExceededError,
     FaultPlan,
     ForecastService,
@@ -31,13 +30,10 @@ from repro.serving import (
     RemoteForecastService,
     RetryPolicy,
     ServingError,
-    ShardFailedError,
-    ShardRouter,
     WorkerCrashedError,
     WorkerPool,
     build_fallback_tier,
     corrupt_artifact,
-    train_shards,
 )
 
 pytestmark = pytest.mark.chaos
@@ -201,43 +197,6 @@ class TestPoolFaults:
         fc = pool.get(artifact)
         assert fc.predict(window()).shape == (16, 4)
         assert pool.stats().quarantined == ()
-
-
-class TestRouterFaults:
-    @pytest.fixture(scope="class")
-    def shards(self):
-        return train_shards("HA", DATASET, num_shards=2, budget=BUDGET)
-
-    def test_transient_band_fault_is_retried(self, shards):
-        plan = FaultPlan().fail("router.shard", nth=1)
-        retry = RetryPolicy(max_attempts=2, base_delay=0.0)
-        router = ShardRouter(shards, retry=retry, fault_hook=plan)
-        expected = ShardRouter(shards).predict(window())
-        assert np.array_equal(router.predict(window()), expected)
-        assert retry.retries == 1
-
-    def test_persistent_band_fault_trips_its_breaker(self, shards):
-        plan = FaultPlan().fail("router.shard", nth=1, times=100)
-        router = ShardRouter(shards, breaker_failures=2, fault_hook=plan)
-        for _ in range(2):
-            with pytest.raises(ShardFailedError) as excinfo:
-                router.predict(window())
-            assert isinstance(excinfo.value.__cause__, InjectedFault)
-        calls_before = plan.calls("router.shard")
-        with pytest.raises(CircuitOpenError, match="shard 0"):
-            router.predict(window())
-        assert plan.calls("router.shard") == calls_before  # fail-fast
-
-    def test_parallel_fanout_wraps_band_faults_identically(self, shards):
-        # nth=1 fires for whichever band's thread calls the hook first —
-        # the wrapping must be identical either way.
-        plan = FaultPlan().fail("router.shard", nth=1)
-        with ShardRouter(shards, parallel=True, fault_hook=plan) as router:
-            with pytest.raises(ShardFailedError, match=r"shard \d \(rows"):
-                router.predict(window())
-            # the fault was one-shot; the router recovers
-            expected = ShardRouter(shards).predict(window())
-            assert np.array_equal(router.predict(window()), expected)
 
 
 class TestServiceFaults:

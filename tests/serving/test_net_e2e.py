@@ -372,6 +372,25 @@ class TestWireErrors:
         assert status == 400
         assert "(regions, window, categories)" in payload["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "path,body",
+        [
+            ("/v1/predict", b"[" * 5000 + b"]" * 5000),
+            ("/v1/predict", b'{"schema": "repro.rpc/v1", "window": [[[' + b"9" * 400 + b"]]]}"),
+            ("/v1/predict_batch",
+             b'{"schema": "repro.rpc/v1", "windows": [[[[' + b"9" * 400 + b"]]]]}"),
+        ],
+        ids=["deep-nesting", "overflow", "batch-overflow"],
+    )
+    def test_undecodable_body_is_a_client_error(self, server, path, body):
+        before = server.stats()
+        status, payload = raw_request(server, "POST", path, body=body)
+        after = server.stats()
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert after["bad_requests"] == before["bad_requests"] + 1
+        assert after["errors"] == before["errors"]
+
 
 # ----------------------------------------------------------------------
 # Health and stats endpoints

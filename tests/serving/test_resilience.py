@@ -25,7 +25,6 @@ from repro.serving import (
     ServiceOverloadedError,
     ServiceStoppedError,
     ServingError,
-    ShardFailedError,
     WorkerCrashedError,
     build_fallback_tier,
 )
@@ -329,7 +328,6 @@ class TestErrorTaxonomy:
             ServiceStoppedError,
             CircuitOpenError,
             ArtifactLoadError,
-            ShardFailedError,
             WorkerCrashedError,
         ):
             assert issubclass(cls, ServingError)
@@ -473,27 +471,3 @@ class TestServiceDegradation:
         for key in ("shed", "rejected", "degraded", "retried", "broken",
                     "failed", "worker_deaths"):
             assert key in payload
-
-
-class TestRouterResilience:
-    def test_band_failure_is_wrapped_as_shard_failed(self, forecaster):
-        from repro.serving import train_shards, ShardRouter
-
-        shards = train_shards("HA", DATASET, num_shards=2, budget=BUDGET)
-        router = ShardRouter(shards, breaker_failures=2)
-        original = shards[1].predict
-
-        def explode(part):
-            raise RuntimeError("band 1 down")
-
-        shards[1].predict = explode
-        try:
-            with pytest.raises(ShardFailedError, match=r"shard 1 \(rows") as excinfo:
-                router.predict(window())
-            assert isinstance(excinfo.value.__cause__, RuntimeError)
-            with pytest.raises(ShardFailedError):
-                router.predict(window())  # second failure trips the breaker
-            with pytest.raises(CircuitOpenError, match="shard 1"):
-                router.predict(window())  # fail-fast, model never called
-        finally:
-            shards[1].predict = original

@@ -143,8 +143,10 @@ def test_error_codes_round_trip_to_the_same_type():
         assert "boom" in str(decoded)
 
 
-def test_unknown_error_code_decodes_as_base_serving_error():
-    payload = {"schema": RPC_SCHEMA, "error": {"code": "flux_capacitor", "message": "?"}}
+# The second code is retired, but an older server may still send it.
+@pytest.mark.parametrize("code", ["flux_capacitor", "shard_failed"])
+def test_unknown_error_code_decodes_as_base_serving_error(code):
+    payload = {"schema": RPC_SCHEMA, "error": {"code": code, "message": "?"}}
     decoded = rpc.decode_error(payload)
     assert type(decoded) is ServingError
 
@@ -199,13 +201,27 @@ def test_error_envelope_is_also_closed():
         rpc.decode_error({"schema": RPC_SCHEMA, "error": "not-a-dict"})
 
 
-def test_loads_rejects_malformed_bodies():
-    with pytest.raises(BadRequestError, match="not valid JSON"):
-        rpc.loads(b"{nope")
-    with pytest.raises(BadRequestError, match="JSON object"):
-        rpc.loads(b"[1, 2, 3]")
+@pytest.mark.parametrize(
+    "body,match",
+    [
+        (b"{nope", "not valid JSON"),
+        (b"[1, 2, 3]", "JSON object"),
+        (b"[" * 5000 + b"]" * 5000, "not valid JSON"),  # deeper than the parser recurses
+    ],
+    ids=["not-json", "non-object", "deep-nesting"],
+)
+def test_loads_rejects_malformed_bodies(body, match):
+    with pytest.raises(BadRequestError, match=match):
+        rpc.loads(body)
 
 
+@pytest.mark.parametrize(
+    "decode,field",
+    [
+        pytest.param(rpc.decode_predict_request, "window", id="predict"),
+        pytest.param(rpc.decode_batch_request, "windows", id="batch"),
+    ],
+)
 @pytest.mark.parametrize(
     "bad",
     [
@@ -214,12 +230,14 @@ def test_loads_rejects_malformed_bodies():
         [[["x"]]],  # non-numeric
         [[[float("nan")]]],  # non-finite
         [[[float("inf")]]],  # non-finite
+        [[[10**400]]],  # integer too large for float64
     ],
-    ids=["2d", "empty", "non-numeric", "nan", "inf"],
+    ids=["2d", "empty", "non-numeric", "nan", "inf", "overflow"],
 )
-def test_bad_windows_are_rejected(bad):
+def test_bad_windows_are_rejected(decode, field, bad):
+    value = bad if field == "window" else [bad]
     with pytest.raises(BadRequestError):
-        rpc.decode_predict_request({"schema": RPC_SCHEMA, "window": bad})
+        decode({"schema": RPC_SCHEMA, field: value})
 
 
 def test_missing_window_is_rejected():
