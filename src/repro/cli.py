@@ -271,7 +271,9 @@ def _cmd_serve(args) -> int:
     worker_pool = None
     backend = forecaster
     if args.process_workers:
-        worker_pool = WorkerPool(args.checkpoint, workers=args.process_workers).start()
+        worker_pool = WorkerPool(
+            args.checkpoint, served_dtype=forecaster.served_dtype, workers=args.process_workers
+        ).start()
         backend = worker_pool
     try:
         with ForecastService(

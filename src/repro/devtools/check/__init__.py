@@ -3,8 +3,8 @@
 ``repro.devtools.check`` verifies every registered model's forward
 semantics without running numerics (see :mod:`.abstract` for the
 interpreter and :mod:`.interpret` for the driver), and records an
-op-level trace of each forward pass — the seed of the ROADMAP
-open-item-5 executor interface.  The results surface as lint findings
+op-level trace of each forward pass, a machine-readable op sequence of
+the model.  The results surface as lint findings
 via ``repro lint --check shapes`` (:mod:`repro.devtools.lint.passes`).
 """
 

@@ -31,7 +31,7 @@ Transfer rules come in three layers:
    shape-check test suite holds the two in agreement.
 
 The recorded :class:`Trace` doubles as a machine-readable op-sequence
-view of the forward pass (ROADMAP open item 5): each :class:`TraceOp`
+view of the forward pass: each :class:`TraceOp`
 is ``(op, input signatures, output signature, note)`` and serialises
 via :meth:`TraceOp.to_dict`.
 """

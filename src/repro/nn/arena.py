@@ -4,7 +4,7 @@ The autograd hot path allocates a fresh numpy array for every op output.
 During training those buffers must survive until the backward pass, but
 under :class:`~repro.nn.tensor.no_grad` each intermediate dies as soon as
 its consumer has read it — so inference can recycle a small pool of
-preallocated buffers instead of paying allocator traffic (and, for
+preallocated memory instead of paying allocator traffic (and, for
 multi-megabyte conv workspaces, kernel page faults) on every call.
 
 Usage::
@@ -15,11 +15,19 @@ Usage::
 
 Inside the scope, the no-grad fast paths in :mod:`repro.nn.tensor` and
 :mod:`repro.nn.ops` allocate op outputs via :meth:`BufferArena.take`.
-Buffers are keyed by ``(shape, dtype)`` and stay *in use* until the scope
-exits, so two same-shaped tensors alive in one forward pass never alias.
-On exit every buffer returns to the free pool; re-entering the scope (the
-next ``predict`` call) reuses them.  Steady-state memory is therefore
-bounded by one call's peak working set per distinct shape.
+The arena pools flat ``uint8`` byte *slabs*, not typed arrays: ``take``
+hands out a C-contiguous typed view at offset 0 of the smallest free slab
+that fits, whatever the requested shape and dtype.  A slab stays *in use*
+while anything outside the arena still references it — every view,
+reshape or :class:`~repro.nn.Tensor` of a handed-out buffer holds its
+slab through numpy's ``.base`` — so two live tensors never alias.  When
+no free slab fits, ``take`` first reclaims every in-use slab that only
+the arena still references (an intermediate whose consumers have run),
+and allocates a new slab only if none of those fits either.  On scope
+exit every slab returns to the free list; the next ``predict`` call
+reuses them.  Steady-state memory is therefore bounded by one call's
+peak *live* bytes (plus best-fit slack), not by the bytes each distinct
+shape ever needed.
 
 Two contracts follow from the recycling:
 
@@ -35,6 +43,10 @@ Two contracts follow from the recycling:
 
 from __future__ import annotations
 
+import bisect
+import math
+import sys
+
 import numpy as np
 
 from .context import _CONTEXT as _CTX
@@ -42,14 +54,28 @@ from .context import _CONTEXT as _CTX
 __all__ = ["BufferArena", "use_arena", "active_arena", "request"]
 
 
+# What ``sys.getrefcount(in_use[index])`` in ``_reclaim`` reads for a slab
+# nothing outside the arena holds: the ``_in_use`` list entry plus
+# getrefcount's own argument.
+_ARENA_REFS = 2
+
+
 class BufferArena:
-    """A ``(shape, dtype)``-keyed pool of reusable numpy buffers."""
+    """A best-fit pool of byte slabs that hands out typed numpy buffers.
+
+    Liveness is judged by reference count (``sys.getrefcount``) on the
+    slab, the array that owns the memory, which makes the mid-scope
+    reclamation CPython-specific: an interpreter without reference
+    counting would need explicit release instead.  CPython 3.11 and
+    3.12, the versions CI runs, qualify.  Reclamation runs only on a
+    miss, so the hit path is a free-list search and nothing more.
+    """
 
     __slots__ = ("_free", "_in_use", "_active", "hits", "misses")
 
     def __init__(self) -> None:
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self._in_use: list[np.ndarray] = []
+        self._free: list[np.ndarray] = []  # free slabs, ascending size
+        self._in_use: list[np.ndarray] = []  # slabs handed out since release
         self._active = 0  # live use_arena scopes (outermost per thread)
         self.hits = 0
         self.misses = 0
@@ -66,39 +92,53 @@ class BufferArena:
         return self._active > 0
 
     def take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """Hand out an uninitialised buffer; it stays unavailable for reuse
-        until :meth:`release_all` (normally the end of the ``use_arena``
-        scope that allocated it)."""
-        # Normalise the key through np.dtype: callers pass scalar types
-        # (np.float32), strings and dtype instances interchangeably, and
-        # release_all re-keys by buffer.dtype — without normalisation a
-        # scalar-type key never re-hits its own released buffers and the
-        # free pool grows without bound.
-        key = (shape, np.dtype(dtype))
-        pool = self._free.get(key)
-        if pool:
-            buffer = pool.pop()
-            self.hits += 1
-        else:
-            buffer = np.empty(shape, key[1])
+        """Hand out an uninitialised ``shape``/``dtype`` buffer.
+
+        Its slab returns to the free list when a later miss finds the
+        buffer (and every view of it) unreferenced, or at
+        :meth:`release_all` (normally the end of the ``use_arena``
+        scope), whichever comes first.  A reused slab counts as a hit, a
+        newly allocated one as a miss.
+        """
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        slab = self._pop_fit(nbytes)
+        if slab is None:
+            self._reclaim()
+            slab = self._pop_fit(nbytes)
+        if slab is None:
+            slab = np.empty(nbytes, np.uint8)
             self.misses += 1
-        self._in_use.append(buffer)
-        return buffer
+        else:
+            self.hits += 1
+        self._in_use.append(slab)
+        return np.ndarray(shape, dtype, buffer=slab)
+
+    def _pop_fit(self, nbytes: int) -> np.ndarray | None:
+        """Remove and return the smallest free slab of at least ``nbytes``."""
+        index = bisect.bisect_left(self._free, nbytes, key=len)
+        return self._free.pop(index) if index < len(self._free) else None
+
+    def _reclaim(self) -> None:
+        """Free every in-use slab that nothing outside the arena references."""
+        in_use = self._in_use
+        for index in range(len(in_use) - 1, -1, -1):
+            if sys.getrefcount(in_use[index]) <= _ARENA_REFS:
+                bisect.insort(self._free, in_use.pop(index), key=len)
 
     def release_all(self) -> None:
-        """Return every outstanding buffer to the free pools."""
-        for buffer in self._in_use:
-            self._free.setdefault((buffer.shape, buffer.dtype), []).append(buffer)
+        """Return every outstanding slab to the free list."""
+        self._free.extend(self._in_use)
+        self._free.sort(key=len)
         self._in_use.clear()
 
     def absorb(self, other: "BufferArena") -> "BufferArena":
-        """Move every buffer pooled in ``other`` into this arena's free
-        pools (emptying ``other``), and fold in its hit/miss counters.
+        """Move every slab pooled in ``other`` into this arena's free list
+        (emptying ``other``), and fold in its hit/miss counters.
 
         Used when per-thread arenas are consolidated for handoff (see
         :meth:`repro.nn.Module.release_arena`): the merged arena carries
-        the union of warm buffers, so whichever thread adopts it re-hits
-        every shape any of the source threads had warmed.  Returns
+        the union of warm slabs for whichever thread adopts it.  Returns
         ``self``.  Raises ``ValueError`` if ``other`` is inside a live
         ``use_arena`` scope — its buffers are mid-write on another
         thread and absorbing them would alias live data.
@@ -108,8 +148,8 @@ class BufferArena:
         if other.in_active_scope:
             raise ValueError("cannot absorb an arena that is active in a use_arena scope")
         other.release_all()
-        for key, pool in other._free.items():
-            self._free.setdefault(key, []).extend(pool)
+        self._free.extend(other._free)
+        self._free.sort(key=len)
         other._free.clear()
         self.hits += other.hits
         self.misses += other.misses
@@ -117,46 +157,36 @@ class BufferArena:
         return self
 
     def clear(self) -> None:
-        """Drop all pooled buffers (frees the memory)."""
+        """Drop all pooled slabs (frees the memory)."""
         self._free.clear()
         self._in_use.clear()
 
     @property
     def num_buffers(self) -> int:
-        return len(self._in_use) + sum(len(pool) for pool in self._free.values())
+        """Slabs held (in use + free)."""
+        return len(self._in_use) + len(self._free)
 
     @property
     def nbytes(self) -> int:
-        """Total bytes currently held (in use + free pools)."""
-        total = sum(buffer.nbytes for buffer in self._in_use)
-        return total + sum(b.nbytes for pool in self._free.values() for b in pool)
+        """Total bytes currently held (in use + free)."""
+        return sum(map(len, self._in_use)) + sum(map(len, self._free))
 
     def stats(self) -> dict:
         """A snapshot of the arena's holdings and traffic.
 
-        Returns ``{"buffers", "nbytes", "hits", "misses",
-        "bytes_by_dtype"}`` where ``bytes_by_dtype`` maps dtype name to
-        the bytes held in that dtype (in-use + free) — the footprint of a
-        model's inference working set::
+        Returns ``{"buffers", "nbytes", "hits", "misses"}`` — the slab
+        count, the bytes they hold (the footprint of a model's inference
+        working set) and the take traffic::
 
             with no_grad(), use_arena(arena):
                 model.predict(window)
-            print(arena.stats()["bytes_by_dtype"])
+            print(arena.stats()["nbytes"])
         """
-        by_dtype: dict[str, int] = {}
-        for buffer in self._in_use:
-            name = buffer.dtype.name
-            by_dtype[name] = by_dtype.get(name, 0) + buffer.nbytes
-        for pool in self._free.values():
-            for buffer in pool:
-                name = buffer.dtype.name
-                by_dtype[name] = by_dtype.get(name, 0) + buffer.nbytes
         return {
             "buffers": self.num_buffers,
             "nbytes": self.nbytes,
             "hits": self.hits,
             "misses": self.misses,
-            "bytes_by_dtype": by_dtype,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -159,10 +159,10 @@ class Module:
 
         The arena joins the module's spare pool and is claimed by the
         next thread that needs one (threads already holding a private
-        arena keep it), so a serving pool can pass the buffer pool of an
-        evicted model to its replacement — same-shaped workspaces rehit
-        instead of being reallocated (see
-        :class:`repro.serving.ModelPool`).  Returns ``self``.
+        arena keep it), so a serving pool can pass the byte slabs of an
+        evicted model to its replacement, which reuses them instead of
+        allocating (see :class:`repro.serving.ModelPool`).  Returns
+        ``self``.
         """
         state = self._arena_state()
         with state["lock"]:

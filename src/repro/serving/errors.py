@@ -1,11 +1,12 @@
 """Typed exception taxonomy for the serving layer.
 
 Every failure mode the serving stack can produce has a named exception
-rooted at :class:`ServingError`, so callers (and the network edge that
-ROADMAP open item 1 will bolt on) can branch on *what went wrong* instead
-of parsing messages: shed a :class:`DeadlineExceededError` as a timeout
-status, a :class:`ServiceOverloadedError` as HTTP 429 backpressure, a
-:class:`CircuitOpenError` as fail-fast unavailability, and so on.
+rooted at :class:`ServingError`, so callers (and the HTTP edge, which
+maps each to a wire code and status) can branch on *what went wrong*
+instead of parsing messages: shed a :class:`DeadlineExceededError` as a
+timeout status, a :class:`ServiceOverloadedError` as HTTP 429
+backpressure, a :class:`CircuitOpenError` as fail-fast unavailability,
+and so on.
 
 :class:`ServingError` subclasses ``RuntimeError`` so pre-taxonomy callers
 that caught ``RuntimeError`` keep working; :class:`DeadlineExceededError`

@@ -8,11 +8,11 @@ evicted when the pool exceeds its capacity.  Entries serving
 latency-critical traffic can be pinned so eviction never touches them.
 
 Buffer arenas are recycled *across* pool entries: when a model is
-evicted, its inference :class:`~repro.nn.BufferArena` (the pool of
-preallocated op workspaces built up over its predict calls) is detached
-and handed to the next model loaded.  Same-shaped buffers rehit
-immediately, so replacing one city's model with another of the same
-geometry costs no allocator warm-up.
+evicted, its inference :class:`~repro.nn.BufferArena` (the byte slabs
+built up over its predict calls) is detached and handed to the next
+model loaded.  Slabs carry no shape or dtype, so they serve the next
+model whatever its geometry, with no allocator warm-up up to the bytes
+they hold.
 """
 
 from __future__ import annotations

@@ -192,13 +192,11 @@ class RemoteForecastService:
             raise RemoteError(f"{method} {self.url}{path} failed: {exc!r}") from exc
         self._checkin(conn)
         try:
-            decoded = json.loads(data)
-        except ValueError as exc:
+            decoded = rpc.loads(data)
+        except BadRequestError as exc:
             raise RemoteError(
-                f"{method} {path} returned non-JSON body (status {status})"
+                f"{method} {path} returned a malformed body (status {status}): {exc}"
             ) from exc
-        if not isinstance(decoded, dict):
-            raise RemoteError(f"{method} {path} returned a non-object JSON body")
         if status != 200:
             try:
                 error = rpc.decode_error(decoded)

@@ -1,9 +1,8 @@
 """Resilience primitives for the serving stack.
 
 Four small, composable pieces give ``repro.serving`` a failure model —
-the prerequisite for the network edge in ROADMAP open item 1, whose
-slow calls, dead workers and bad payloads all reduce to behaviours
-defined here:
+the slow calls, dead workers and bad payloads of the HTTP edge and the
+process workers all reduce to behaviours defined here:
 
 * :class:`Deadline` — an absolute per-request time budget.  Workers shed
   expired requests *before* compute; clients never block meaningfully

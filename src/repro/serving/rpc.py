@@ -103,16 +103,16 @@ def loads(body: bytes | str) -> dict:
 
     Raises :class:`~repro.serving.BadRequestError` on malformed JSON,
     nesting too deep for the parser, or a non-object top level — the 400
-    path of every POST endpoint.
+    path of every POST endpoint, and the client's check on every reply
+    (which :class:`~repro.serving.RemoteForecastService` maps to
+    :class:`~repro.serving.RemoteError`).
     """
     try:
         payload = json.loads(body)
     except (ValueError, UnicodeDecodeError, RecursionError) as exc:
-        raise BadRequestError(f"request body is not valid JSON: {exc}") from exc
+        raise BadRequestError(f"body is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise BadRequestError(
-            f"request body must be a JSON object, got {type(payload).__name__}"
-        )
+        raise BadRequestError(f"body must be a JSON object, got {type(payload).__name__}")
     return payload
 
 
@@ -231,7 +231,7 @@ def decode_predict_response(payload: dict) -> tuple[np.ndarray, bool, int]:
         raise BadRequestError("predict response is missing 'prediction'")
     try:
         prediction = np.asarray(payload["prediction"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadRequestError(f"'prediction' is not a numeric array: {exc}") from exc
     return prediction, bool(payload.get("degraded", False)), int(payload.get("tier", 0))
 
@@ -293,7 +293,7 @@ def decode_batch_response(payload: dict) -> tuple[list[np.ndarray], list[bool], 
         raise BadRequestError("'predictions' must be a list")
     try:
         predictions = [np.asarray(item, dtype=float) for item in raw]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadRequestError(f"'predictions' is not a list of numeric arrays: {exc}") from exc
     count = len(predictions)
     degraded = [bool(d) for d in payload.get("degraded", [False] * count)]

@@ -12,13 +12,15 @@ Under the ``fork`` start method (the Linux default) the pool loads the
 model **once** in the parent and lets every child inherit the warm
 weights through copy-on-write fork — workers are ready on their first
 job, no per-process load cost.  Under ``spawn`` each child loads the
-artifact itself.
+artifact itself.  Either way the load honours the pool's
+``served_dtype``, so a process-backed server computes in the same dtype
+as an in-process one.
 
 The pool satisfies the backend duck type
 (:meth:`predict` on stacked ``(B, R, W, C)`` arrays), so it drops into
 :class:`~repro.serving.ForecastService` wherever a local model went::
 
-    pool = WorkerPool("sthsl.npz", workers=2).start()
+    pool = WorkerPool("sthsl.npz", served_dtype="float32", workers=2).start()
     service = ForecastService(pool, workers=2).start()   # process-backed
     counts = service.predict(window)
 
@@ -43,23 +45,25 @@ import time
 
 import numpy as np
 
+from ..api.artifacts import check_served_dtype
 from .errors import WorkerCrashedError
 
 __all__ = ["WorkerPool"]
 
 
-def _worker_main(conn, artifact, forecaster) -> None:
+def _worker_main(conn, artifact, served_dtype, forecaster) -> None:
     """Worker-process loop: serve jobs from ``conn`` until told to stop.
 
     ``forecaster`` is the parent's warm model under ``fork`` (inherited
     copy-on-write) or ``None`` under ``spawn``, in which case the child
-    loads ``artifact`` itself.  Jobs are ``(kind, payload)`` tuples;
-    replies are ``("ok", result)`` or ``("err", exception)``.
+    loads ``artifact`` itself at ``served_dtype``.  Jobs are
+    ``(kind, payload)`` tuples; replies are ``("ok", result)`` or
+    ``("err", exception)``.
     """
     from repro.api import Forecaster, RunSpec
 
     if forecaster is None and artifact is not None:
-        forecaster = Forecaster.load(artifact)
+        forecaster = Forecaster.load(artifact, served_dtype=served_dtype)
     while True:
         try:
             job = conn.recv()
@@ -121,7 +125,10 @@ class WorkerPool:
             stacked = pool.predict(window[None])        # (1, R, C)
             metrics = pool.run(RunSpec(model="Seasonal-Naive"))
 
-    ``start_method`` defaults to ``fork`` where available (warm
+    ``served_dtype`` is the compute dtype every worker serves the
+    artifact in, with the same meaning as in :meth:`Forecaster.load`
+    (``None`` keeps the manifest's choice, else the model's native
+    dtype).  ``start_method`` defaults to ``fork`` where available (warm
     pre-forked models); pass ``"spawn"`` to make each child load the
     artifact itself.  ``job_timeout`` bounds any single job — a worker
     that neither answers nor dies within it is killed and respawned,
@@ -135,6 +142,7 @@ class WorkerPool:
         self,
         artifact=None,
         *,
+        served_dtype: str | None = None,
         workers: int = 2,
         start_method: str | None = None,
         job_timeout: float = 300.0,
@@ -151,6 +159,7 @@ class WorkerPool:
                 else multiprocessing.get_start_method()
             )
         self.artifact = str(artifact) if artifact is not None else None
+        self.served_dtype = check_served_dtype(served_dtype)
         self.workers = int(workers)
         self.start_method = start_method
         self.job_timeout = float(job_timeout)
@@ -183,7 +192,7 @@ class WorkerPool:
             ):
                 from repro.api import Forecaster
 
-                self._warm_model = Forecaster.load(self.artifact)
+                self._warm_model = Forecaster.load(self.artifact, served_dtype=self.served_dtype)
             self._pool = [self._spawn_locked() for _ in range(self.workers)]
             self._running = True
         if warm:
@@ -198,7 +207,7 @@ class WorkerPool:
         inherited = self._warm_model if self.start_method == "fork" else None
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.artifact, inherited),
+            args=(child_conn, self.artifact, self.served_dtype, inherited),
             name=f"forecast-worker-{self._generation}",
             daemon=True,
         )

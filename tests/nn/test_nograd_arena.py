@@ -104,11 +104,11 @@ class TestBufferArena:
         arena = BufferArena()
         a = arena.take((4, 4), np.dtype(np.float64))
         b = arena.take((4, 4), np.dtype(np.float64))
-        assert a is not b  # in-use buffers never alias
+        assert not np.shares_memory(a, b)  # in-use buffers never alias
         assert arena.misses == 2 and arena.hits == 0
         arena.release_all()
         c = arena.take((4, 4), np.dtype(np.float64))
-        assert c is a or c is b  # recycled, not reallocated
+        assert np.shares_memory(c, a) or np.shares_memory(c, b)  # recycled, not reallocated
         assert arena.hits == 1
 
     def test_use_arena_scopes_and_releases(self):
@@ -124,9 +124,9 @@ class TestBufferArena:
     def test_reentrant_same_arena_keeps_outer_ownership(self):
         arena = BufferArena()
         with use_arena(arena):
-            arena.take((2,), np.dtype(np.float64))
+            outer = arena.take((2,), np.dtype(np.float64))  # noqa: F841 - held live
             with use_arena(arena):
-                arena.take((3,), np.dtype(np.float64))
+                inner = arena.take((3,), np.dtype(np.float64))  # noqa: F841 - held live
             # Inner exit must NOT release the outer scope's buffers.
             assert len(arena._in_use) == 2
         assert len(arena._in_use) == 0
@@ -135,8 +135,8 @@ class TestBufferArena:
         arena = BufferArena()
         for _ in range(10):
             with use_arena(arena):
-                arena.take((8, 8), np.dtype(np.float64))
-                arena.take((8, 8), np.dtype(np.float64))
+                first = arena.take((8, 8), np.dtype(np.float64))  # noqa: F841 - held live
+                second = arena.take((8, 8), np.dtype(np.float64))  # noqa: F841 - held live
         assert arena.num_buffers == 2  # not 20
 
     def test_nbytes_accounting(self):
@@ -155,7 +155,53 @@ class TestBufferArena:
         stats = arena.stats()
         # The second call re-hits every workspace the first call allocated.
         assert stats["hits"] >= stats["misses"] == stats["buffers"] > 0
-        assert stats["nbytes"] == sum(stats["bytes_by_dtype"].values()) == arena.nbytes
+        assert stats["nbytes"] == arena.nbytes
+
+    @pytest.mark.parametrize(
+        "hold",
+        [lambda buffer: buffer, lambda buffer: buffer.reshape(-1), Tensor],
+        ids=["direct", "reshape_view", "tensor"],
+    )
+    def test_held_buffer_is_never_handed_out_again(self, hold):
+        """Liveness is judged on the slab: a buffer kept alive directly,
+        through a view, or inside a Tensor stays out of every later take."""
+        arena = BufferArena()
+        with use_arena(arena):
+            held = hold(arena.take((4, 4), np.float64))
+            for shape, dtype in [((4, 4), np.float64), ((16,), np.float64), ((2, 8), np.float32)] * 2:
+                fresh = arena.take(shape, dtype)
+                assert not np.shares_memory(fresh, held.data if isinstance(held, Tensor) else held)
+                del fresh  # dead: the next take reclaims it
+            assert arena.hits > 0  # reclamation ran while the held buffer stayed out
+
+    def test_dropped_buffer_is_reused_mid_scope_for_another_shape(self):
+        arena = BufferArena()
+        with use_arena(arena):
+            first = arena.take((8, 8), np.float64)
+            address = first.__array_interface__["data"][0]
+            del first
+            hits, misses = arena.hits, arena.misses
+            second = arena.take((4, 16), np.float32)  # half the bytes, another dtype
+            assert arena.hits == hits + 1 and arena.misses == misses
+            assert second.__array_interface__["data"][0] == address
+
+    def test_sthsl_tail_batch_reuses_the_full_batch_slabs(self):
+        """A short tail chunk fits in the slabs the full chunks warmed, and
+        its prediction still equals the graph path bit for bit."""
+        from repro.core import STHSL, STHSLConfig
+
+        model = STHSL(
+            STHSLConfig(rows=4, cols=4, num_categories=4, window=10, dim=8), seed=0
+        )
+        windows = np.random.default_rng(9).standard_normal((8, 16, 10, 4))
+        model.predict_batch(windows)
+        arena = model._inference_arena()
+        warmed = arena.nbytes
+        tail = model.predict_batch(windows[:3])
+        model.predict_batch(windows)
+        assert arena.nbytes <= warmed
+        model.eval()
+        assert np.array_equal(tail, model.forward_batch(windows[:3]).prediction.data)
 
 
 class TestArenaNumericalIdentity:

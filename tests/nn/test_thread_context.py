@@ -328,11 +328,13 @@ class TestPerThreadModuleArena:
 
 
 class TestArenaKeyNormalization:
-    """Regression: take() must key by np.dtype(dtype), not the raw argument.
+    """Regression: every spelling of a dtype re-hits released memory.
 
-    Before the fix, a caller passing the *scalar type* np.float32 never
-    re-hit buffers released under the np.dtype('float32') key, so every
-    call missed and the free pool grew without bound.
+    When take() keyed buffers by the raw dtype argument, a caller passing
+    the *scalar type* np.float32 never re-hit buffers released under the
+    np.dtype('float32') key, so every call missed and the free pool grew
+    without bound.  Pooled slabs carry no dtype now; these tests keep the
+    guarantee.
     """
 
     @pytest.mark.parametrize("spelling", [np.float32, np.dtype("float32"), "float32"])
@@ -342,7 +344,7 @@ class TestArenaKeyNormalization:
         assert first.dtype == np.float32
         arena.release_all()
         second = arena.take((4, 4), spelling)
-        assert second is first  # recycled, not a fresh allocation
+        assert np.shares_memory(second, first)  # recycled, not a fresh allocation
         assert arena.hits == 1 and arena.misses == 1
         assert arena.num_buffers == 1  # no unbounded growth
 
@@ -351,5 +353,5 @@ class TestArenaKeyNormalization:
         first = arena.take((3, 3), np.float64)
         arena.release_all()
         second = arena.take((3, 3), np.dtype("float64"))
-        assert second is first
+        assert np.shares_memory(second, first)
         assert arena.hits == 1

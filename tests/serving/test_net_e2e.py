@@ -20,6 +20,7 @@ the run.
 """
 
 import http.client
+import http.server
 import json
 import threading
 import time
@@ -34,6 +35,7 @@ from repro.serving import (
     ForecastService,
     NetworkServer,
     RateLimitedError,
+    RemoteError,
     RemoteForecastService,
     ServiceOverloadedError,
     TokenBucket,
@@ -390,6 +392,52 @@ class TestWireErrors:
         assert payload["error"]["code"] == "bad_request"
         assert after["bad_requests"] == before["bad_requests"] + 1
         assert after["errors"] == before["errors"]
+
+
+class _FixedReply(http.server.BaseHTTPRequestHandler):
+    """Answers every POST with status 200 and the class's ``body``."""
+
+    body = b""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestMalformedReplies:
+    """The client mirror of the edge's 400s: a 200 reply the client cannot
+    decode raises RemoteError, never RecursionError or OverflowError."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[" * 5000 + b"]" * 5000,
+            b'{"schema": "repro.rpc/v1", "prediction": [[' + b"9" * 400 + b"]]}",
+        ],
+        ids=["deep-nesting", "overflow"],
+    )
+    def test_undecodable_reply_raises_remote_error(self, body):
+        handler = type("Reply", (_FixedReply,), {"body": body})
+        stub = http.server.HTTPServer(("127.0.0.1", 0), handler)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        client = RemoteForecastService(f"http://127.0.0.1:{stub.server_address[1]}")
+        try:
+            with pytest.raises(RemoteError):
+                client.predict(window(), timeout=30)
+        finally:
+            client.stop()
+            stub.shutdown()
+            stub.server_close()
+            thread.join(5)
+        assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------

@@ -108,7 +108,7 @@ class TestArenaHandoff:
         assert second.model._inference_arena() is arena
         hits_before = arena.hits
         prediction = second.predict(window)
-        assert arena.hits > hits_before  # same-shaped buffers rehit
+        assert arena.hits > hits_before  # the warm slabs are reused
         assert np.array_equal(prediction, first.predict(window))
 
     def test_handoff_preserves_predictions(self, artifacts):

@@ -216,6 +216,26 @@ def test_loads_rejects_malformed_bodies(body, match):
 
 
 @pytest.mark.parametrize(
+    "decode,payload",
+    [
+        pytest.param(
+            rpc.decode_predict_response,
+            {"schema": RPC_SCHEMA, "prediction": [[10**400]]},
+            id="predict",
+        ),
+        pytest.param(
+            rpc.decode_batch_response,
+            {"schema": RPC_SCHEMA, "predictions": [[[10**400]]]},
+            id="batch",
+        ),
+    ],
+)
+def test_response_with_integer_too_large_for_float64_is_rejected(decode, payload):
+    with pytest.raises(BadRequestError, match="numeric"):
+        decode(payload)
+
+
+@pytest.mark.parametrize(
     "decode,field",
     [
         pytest.param(rpc.decode_predict_request, "window", id="predict"),

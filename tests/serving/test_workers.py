@@ -84,6 +84,15 @@ class TestPredictJobs:
         assert got.shape == local.shape
         assert np.array_equal(got, local)
 
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pool_computes_in_its_served_dtype(self, artifact, start_method):
+        reference = Forecaster.load(artifact, served_dtype="float32").predict(window())
+        assert not np.array_equal(reference, Forecaster.load(artifact).predict(window()))
+        with WorkerPool(
+            artifact, served_dtype="float32", workers=1, start_method=start_method, job_timeout=60.0
+        ) as float32_pool:
+            assert np.array_equal(float32_pool.predict(window()), reference)
+
     def test_ping_round_trips(self, pool):
         assert pool.ping() == "pong"
 
