@@ -35,13 +35,6 @@ class StatisticalBaseline(ForecastModel):
         raise NotImplementedError
 
     def predict(self, window: np.ndarray) -> np.ndarray:
-        summary = getattr(window, "__repro_map_series__", None)
-        if summary is not None:
-            # Abstract shape checking: the per-series solve is irreducibly
-            # concrete (data-dependent branches, in-place design matrices),
-            # so the interpreter consumes this (R, T, C) -> (R, C) float64
-            # function summary instead.
-            return summary()
         regions, _, categories = window.shape
         out = np.empty((regions, categories))
         for r in range(regions):

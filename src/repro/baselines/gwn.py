@@ -83,14 +83,14 @@ class GraphWaveNet(ForecastModel):
 
     def forward(self, window: np.ndarray) -> Tensor:
         """``(R, W, C)`` history -> ``(R, C)`` prediction (B=1 wrapper)."""
-        window = nn.as_input(window)
+        window = np.asarray(window)
         if window.ndim != 3:
             raise ValueError(f"expected a (R, W, C) window, got shape {window.shape}")
         return self.forward_batch(window[None]).squeeze(0)
 
     def forward_batch(self, windows: np.ndarray) -> Tensor:
         """``(B, R, W, C)`` stacked histories -> ``(B, R, C)`` predictions."""
-        windows = nn.as_input(windows)
+        windows = np.asarray(windows)
         if windows.ndim != 4:
             raise ValueError(f"expected a (B, R, W, C) batch, got shape {windows.shape}")
         supports = self.fixed_supports + [self.adaptive_adjacency()]

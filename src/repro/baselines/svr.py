@@ -39,7 +39,7 @@ class SVR(ForecastModel):
 
     def forward(self, window: np.ndarray) -> Tensor:
         """``window`` (R, W, C) -> predictions (R, C)."""
-        x = Tensor(nn.as_input(window, dtype=np.float64))
+        x = Tensor(np.asarray(window, dtype=np.float64))
         # einsum 'rwc,cw->rc' via elementwise multiply + sum
         per_cat = (x.transpose(0, 2, 1) * self.weight).sum(axis=-1)  # (R, C)
         return per_cat + self.bias

@@ -30,6 +30,6 @@ class CrimeEmbedding(nn.Module):
     def forward(self, window: np.ndarray) -> Tensor:
         """``window`` is already Z-scored (Eq 1's (x-μ)/σ is done upstream
         with training-split statistics to avoid test leakage)."""
-        x = Tensor(nn.as_input(window, dtype=self.type_embedding.dtype))
+        x = Tensor(np.asarray(window, dtype=self.type_embedding.dtype))
         # (..., R, T, C, 1) * (C, d) -> (..., R, T, C, d)
         return x.expand_dims(-1) * self.type_embedding

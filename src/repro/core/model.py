@@ -166,7 +166,7 @@ class STHSL(nn.Module):
         model code is batched-native, so per-sample and batched execution
         share one numerical path.
         """
-        window = nn.as_input(window)
+        window = np.asarray(window)
         if window.ndim != 3:
             raise ValueError(f"expected a (R, T, C) window, got shape {window.shape}")
         out = self.forward_batch(window[None])
@@ -191,7 +191,7 @@ class STHSL(nn.Module):
         graph traversals.
         """
         cfg = self.config
-        windows = nn.as_input(windows)
+        windows = np.asarray(windows)
         if windows.ndim != 4:
             raise ValueError(f"expected a (B, R, T, C) batch, got shape {windows.shape}")
         b, r, t, c = windows.shape

@@ -189,9 +189,9 @@ class Pass:
     """Base class for one whole-tree semantic analysis pass.
 
     Where a :class:`Rule` checks one parsed file at a time, a pass sees
-    the entire tree (and may build/interpret real package objects — the
-    shape checker drives every registered model abstractly; the contract
-    checker cross-references wire/CLI/docs surfaces).  Passes are opt-in:
+    the entire tree (and may build and run real package objects — the
+    shape checker runs every registered model; the contract checker
+    cross-references wire/CLI/docs surfaces).  Passes are opt-in:
     ``run_lint(checks=["shapes"])`` / ``repro lint --check shapes``.
 
     Subclasses set ``id`` (the check name used with ``--check``),

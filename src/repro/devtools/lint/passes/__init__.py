@@ -4,8 +4,9 @@ Importing this package registers every pass with the engine, mirroring
 how ``..rules`` registers the per-file rules.  Current passes:
 
 ``shapes``
-    Abstract shape/dtype interpretation of every registered model
-    (:mod:`repro.devtools.check`) on the 6x6 and 16x16 geometries.
+    Runs every registered model's ``forward``/``forward_batch`` on one
+    geometry where every dimension differs, in native and float32
+    modes, and checks the shape/dtype contract.
 ``contracts``
     Cross-surface consistency: error taxonomy ↔ wire codes, RPC
     fixtures ↔ codec, CLI flags ↔ docs, registry names ↔ docs.

@@ -1,9 +1,43 @@
-"""The ``shapes`` pass: abstract interpretation of every registered model.
+"""The ``shapes`` pass: run every registered model on one fixed geometry.
 
-Drives :func:`repro.devtools.check.check_registry` — every
-:class:`~repro.api.registry.ModelSpec` interpreted on the 6x6 and 16x16
-(paper-scale) geometries in both native and float32 dtype modes — and
-converts semantic problems into lint findings anchored at the model's
+Every :class:`~repro.api.registry.ModelSpec` is built at :data:`GEOMETRY`,
+a 5x7 grid, and its real ``forward`` / ``forward_batch`` run on seeded
+random inputs under ``nn.no_grad`` with no arena (the serving path's
+ambient state), in native mode and in float32 mode.  Every dimension
+of that geometry differs from every other (rows 5, cols 7, R = 35,
+window T = 11, C = 3, hidden 26, batch B = 2 and 13), so code that
+transposes two axes, reads a size from the wrong dim or broadcasts two
+different dims fails outright instead of passing by numeric coincidence.
+
+Checks per (model, mode):
+
+``shape``
+    ``forward`` on an ``(R, T, C)`` window must yield a floating
+    ``(R, C)``; ``forward_batch`` on ``(B, R, T, C)`` must yield
+    ``(B, R, C)``.  A builder or forward that raises is a shape problem
+    too, reported with the exception text and the line that raised.
+``broadcast``
+    A forward raised numpy's broadcast ``ValueError``: two different
+    dims met in one elementwise op.
+``dtype-leak``
+    In float32 mode, the output is not float32, or a float64 array
+    reached ``Tensor._from_array`` (every no-grad op result passes
+    through it) during the forward.
+``capability``
+    ``supports_batching=True`` must be backed by a ``forward_batch``
+    that passes at both batch sizes (a hard-coded batch size fails the
+    other one); conversely a model shipping ``forward_batch`` must
+    declare the flag.
+
+Float32 mode mirrors ``Forecaster.load``: ``spec.build(...,
+compute_dtype="float32")``, and a builder that rejects the knob
+(``TypeError``) is a skip, not a failure.
+
+Known gap: a float64 promotion that is cast back to float32 before it
+reaches ``Tensor._from_array`` or the output (inside one primitive, or
+in raw-numpy model code) leaves no trace a concrete run can see.
+
+Problems convert into lint findings anchored at the model's
 ``@REGISTRY.register(...)`` line, where the contract (name + capability
 flags) is declared.
 """
@@ -11,16 +45,77 @@ flags) is declared.
 from __future__ import annotations
 
 import re
+import sys
+import threading
+import traceback
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..engine import Finding, Pass, register_pass
+import numpy as np
 
-__all__ = ["ShapeCheckPass", "registration_lines"]
+from ....nn import Tensor, no_grad
+from ..engine import Pass, register_pass
 
-#: interpreter problem kind -> lint finding rule id
+__all__ = [
+    "GEOMETRY",
+    "CheckGeometry",
+    "ModelReport",
+    "Problem",
+    "ShapeCheckPass",
+    "check_model",
+    "check_registry",
+    "registration_lines",
+]
+
+MODES = ("native", "float32")
+
+
+@dataclass(frozen=True)
+class CheckGeometry:
+    """The sizes every model is built and run at.
+
+    Every size differs from every other (rejected otherwise), so a
+    concrete size in a message names its dimension and two different
+    dims never broadcast together by numeric coincidence.
+    """
+
+    rows: int
+    cols: int
+    categories: int
+    window: int
+    hidden: int
+    batch_sizes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        sizes = [self.rows, self.cols, self.regions, self.categories, self.window, self.hidden]
+        sizes += self.batch_sizes
+        if len(set(sizes)) != len(sizes):
+            raise ValueError(f"check geometry sizes must all differ, got {sizes}")
+
+    @property
+    def regions(self) -> int:
+        return self.rows * self.cols
+
+    def dims(self, shape) -> str:
+        """``shape`` with each size labelled by the dimension it names."""
+        names = {
+            self.regions: "R",
+            self.window: "T",
+            self.categories: "C",
+            self.hidden: "hidden",
+            self.rows: "rows",
+            self.cols: "cols",
+            **{b: "B" for b in self.batch_sizes},
+        }
+        return "(" + ", ".join(f"{names[d]}={d}" if d in names else str(d) for d in shape) + ")"
+
+
+GEOMETRY = CheckGeometry(rows=5, cols=7, categories=3, window=11, hidden=26, batch_sizes=(2, 13))
+
+#: problem kind -> lint finding rule id
 _KIND_TO_RULE = {
     "shape": "model-shape-contract",
-    "abstraction": "model-shape-contract",
     "dtype-leak": "dtype-promotion-leak",
     "broadcast": "broadcast-surprise",
     "capability": "capability-flag-drift",
@@ -56,31 +151,183 @@ def registration_lines(root: Path) -> tuple[str, dict[str, int]]:
     return relpath, anchors
 
 
+@dataclass
+class Problem:
+    """One contract violation found for a (model, mode) combination."""
+
+    kind: str  # shape | dtype-leak | broadcast | capability
+    model: str
+    mode: str  # native | float32
+    message: str
+
+    def describe(self) -> str:
+        return f"{self.model} [{self.mode}]: {self.message}"
+
+
+@dataclass
+class ModelReport:
+    """Outcome of running one model in one mode."""
+
+    model: str
+    mode: str
+    skipped: bool = False
+    skip_reason: str = ""
+    problems: list[Problem] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+    def add(self, kind: str, message: str) -> None:
+        self.problems.append(Problem(kind, self.model, self.mode, message))
+
+
+def _raised(exc: Exception) -> str:
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{type(exc).__name__}: {str(exc).strip()} (at {Path(frame.filename).name}:{frame.lineno})"
+
+
+@contextmanager
+def _float64_spy(found: list):
+    """Record every float64 array this thread hands ``Tensor._from_array``.
+
+    ``found`` collects ``(op name, shape)`` pairs.  The original
+    staticmethod is restored on exit, so ``repro.nn`` carries no hook.
+    """
+    original = Tensor.__dict__["_from_array"]
+    wrapped = original.__func__
+    owner = threading.get_ident()
+
+    def spy(data):
+        if getattr(data, "dtype", None) == np.float64 and threading.get_ident() == owner:
+            found.append((sys._getframe(1).f_code.co_name, np.shape(data)))
+        return wrapped(data)
+
+    Tensor._from_array = staticmethod(spy)
+    try:
+        yield found
+    finally:
+        Tensor._from_array = original
+
+
+def _run(report: ModelReport, geometry: CheckGeometry, context: str, fn, x, expected) -> None:
+    """Run one forward, folding failures and contract breaks into ``report``."""
+    leaks: list = []
+    spy = _float64_spy(leaks) if report.mode == "float32" else nullcontext()
+    try:
+        with no_grad(), spy:
+            result = fn(x)
+    except Exception as exc:  # noqa: BLE001 - every failure is a finding
+        kind = "broadcast" if "could not be broadcast" in str(exc) else "shape"
+        report.add(kind, f"{context} raised {_raised(exc)}")
+        return
+    if leaks:
+        op, shape = leaks[0]
+        report.add(
+            "dtype-leak",
+            f"{context}: {len(leaks)} float64 result(s) reached Tensor._from_array "
+            f"in float32 mode, first from {op}() with shape {geometry.dims(shape)}",
+        )
+    payload = getattr(result, "prediction", result)
+    data = payload.data if isinstance(payload, Tensor) else payload
+    if not isinstance(data, np.ndarray):
+        report.add("shape", f"{context} returned {type(data).__name__}, not an array")
+        return
+    if data.shape != expected:
+        report.add(
+            "shape",
+            f"{context} output shape {geometry.dims(data.shape)} "
+            f"!= expected {geometry.dims(expected)}",
+        )
+    if data.dtype.kind != "f":
+        report.add("shape", f"{context} output dtype {data.dtype} is not floating")
+    elif report.mode == "float32" and data.dtype != np.float32:
+        report.add("dtype-leak", f"{context} output dtype {data.dtype} in float32 mode")
+
+
+def check_model(spec, *, mode: str = "native") -> ModelReport:
+    """Build one registered model at :data:`GEOMETRY` and run it in ``mode``."""
+    from ....api.registry import ModelGeometry
+
+    g = GEOMETRY
+    report = ModelReport(spec.name, mode)
+    overrides = {} if mode == "native" else {"compute_dtype": "float32"}
+    geometry = ModelGeometry(rows=g.rows, cols=g.cols, num_categories=g.categories)
+    try:
+        model = spec.build(geometry, g.window, hidden=g.hidden, seed=0, **overrides)
+    except Exception as exc:  # noqa: BLE001 - every failure is a finding
+        if mode == "float32" and isinstance(exc, TypeError):
+            # Mirrors Forecaster.load: the builder has no dtype knob, the
+            # model serves at native dtype — nothing to check in f32 mode.
+            report.skipped = True
+            report.skip_reason = "builder does not accept compute_dtype"
+        else:
+            report.add("shape", f"builder raised {_raised(exc)}")
+        return report
+    model.eval()
+
+    rng = np.random.default_rng(0)
+    window = rng.standard_normal((g.regions, g.window, g.categories))
+    _run(report, g, "forward", model.forward, window, (g.regions, g.categories))
+
+    forward_batch = getattr(model, "forward_batch", None)
+    if mode == "native":
+        if spec.supports_batching and forward_batch is None:
+            report.add("capability", "supports_batching=True but the model has no forward_batch")
+        elif not spec.supports_batching and forward_batch is not None:
+            report.add(
+                "capability",
+                "model implements forward_batch but the spec declares supports_batching=False",
+            )
+    if forward_batch is None:
+        return report
+    for b in g.batch_sizes:
+        windows = rng.standard_normal((b, g.regions, g.window, g.categories))
+        before = len(report.problems)
+        expected = (b, g.regions, g.categories)
+        _run(report, g, f"forward_batch(B={b})", forward_batch, windows, expected)
+        if spec.supports_batching:
+            # Reclassify: a broken batch path falsifies the flag.
+            for problem in report.problems[before:]:
+                if problem.kind == "shape":
+                    problem.kind = "capability"
+                    problem.message = "supports_batching=True is not honoured: " + problem.message
+    return report
+
+
+def check_registry() -> list[ModelReport]:
+    """Run every registered model in every mode."""
+    from ....api.registry import REGISTRY
+
+    return [check_model(spec, mode=mode) for spec in REGISTRY for mode in MODES]
+
+
 @register_pass
 class ShapeCheckPass(Pass):
-    """Statically verify every model's shape/dtype contract."""
+    """Verify every model's shape/dtype contract by running it."""
 
     id = "shapes"
     description = (
-        "abstract shape/dtype interpretation of every registered model on "
-        "the 6x6 and 16x16 geometries in native and float32 modes"
+        "run every registered model's forward/forward_batch on a 5x7 grid "
+        "(R=35, T=11, C=3, B=2 and 13) in native and float32 modes"
     )
     hint = (
-        "run `python -m repro.cli lint --check shapes` locally; the message "
-        "carries the symbolic shapes involved"
+        "run `check_model(REGISTRY.spec(name), mode=...)` from "
+        "repro.devtools.lint.passes.shapes; the message names each "
+        "dimension, since every one differs on the check geometry"
     )
     emits = {
         "model-shape-contract": (
-            "a model's forward/forward_batch violates the (R, C) / (B, R, C) "
-            "output contract under abstract interpretation"
+            "a model's builder, forward or forward_batch raises, or breaks "
+            "the (R, C) / (B, R, C) floating output contract"
         ),
         "dtype-promotion-leak": (
-            "an op in a float32-mode forward pass silently promotes to "
-            "float64"
+            "a float32-mode forward returns non-float32 output or produces "
+            "a float64 Tensor on the way"
         ),
         "broadcast-surprise": (
-            "a broadcast aligns dims derived from different symbols that are "
-            "equal only by numeric coincidence on one geometry"
+            "a forward broadcasts two different dims together (numpy "
+            "raises once every dim of the check geometry differs)"
         ),
         "capability-flag-drift": (
             "a ModelSpec capability flag disagrees with what the model "
@@ -89,15 +336,12 @@ class ShapeCheckPass(Pass):
     }
 
     def run(self, root: Path):
-        from ...check import check_registry
-
         relpath, anchors = registration_lines(root)
         for report in check_registry():
             for problem in report.problems:
-                yield Finding(
-                    rule=_KIND_TO_RULE[problem.kind],
+                yield self.finding(
+                    _KIND_TO_RULE[problem.kind],
                     path=relpath,
                     line=anchors.get(problem.model, 1),
                     message=problem.describe(),
-                    hint=self.hint,
                 )

@@ -39,7 +39,6 @@ from .serialization import (
 )
 from .tensor import (
     Tensor,
-    as_input,
     concatenate,
     dtype_scope,
     get_default_dtype,
@@ -57,7 +56,6 @@ __all__ = [
     "set_default_dtype",
     "get_default_dtype",
     "dtype_scope",
-    "as_input",
     "concatenate",
     "stack",
     "where",

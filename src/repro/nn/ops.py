@@ -248,16 +248,6 @@ def conv2d(
     -------
     Tensor of shape ``(N, C_out, H_out, W_out)``.
     """
-    transfer = getattr(x.data, "__conv2d_transfer__", None)
-    if transfer is not None:
-        # Abstract shape checking: the transfer rule restates the kernel's
-        # output geometry.  It must run before any concrete geometry math
-        # so symbolic dims never reach the lru-cached index builders.
-        return Tensor._from_array(
-            transfer(
-                weight.data, None if bias is None else bias.data, stride, padding
-            )
-        )
     stride = _pair(stride)
     ph, pw = _pair(padding)
     n, c_in, h, w = x.shape
@@ -268,6 +258,8 @@ def conv2d(
     inference = not is_grad_enabled()
     hp, wp = h + 2 * ph, w + 2 * pw
     _, _, out_h, out_w = _im2col_indices(hp, wp, kh, kw, stride)
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(f"conv2d output size <= 0 (padded {hp}x{wp}, kernel {kh}x{kw})")
     x_data, w_data = _promote(x.data, weight.data)
     # The kernel owns padding + workspace layout; workspaces are
     # arena-pooled on the no-grad path only (during training the saved
@@ -372,17 +364,6 @@ def conv1d(
         Spacing between kernel taps; dilated causal convolutions are the
         temporal mechanism in the Graph WaveNet baseline.
     """
-    transfer = getattr(x.data, "__conv1d_transfer__", None)
-    if transfer is not None:
-        return Tensor._from_array(
-            transfer(
-                weight.data,
-                None if bias is None else bias.data,
-                stride,
-                padding,
-                dilation,
-            )
-        )
     n, c_in, length = x.shape
     c_out, c_in_w, k = weight.shape
     if c_in != c_in_w:

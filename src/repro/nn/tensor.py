@@ -48,7 +48,6 @@ __all__ = [
     "set_default_dtype",
     "get_default_dtype",
     "dtype_scope",
-    "as_input",
     "concatenate",
     "stack",
     "where",
@@ -174,11 +173,6 @@ def _index_may_repeat(index) -> bool:
 def _as_array(value, dtype=None) -> np.ndarray:
     if isinstance(value, Tensor):
         raise TypeError("pass Tensor.data, not Tensor, to _as_array")
-    coerce = getattr(value, "__repro_coerce__", None)
-    if coerce is not None:
-        # Abstract value (static shape checking): it applies these same
-        # dtype-normalisation rules symbolically instead of materialising.
-        return coerce(dtype, _CTX.default_dtype)
     arr = np.asarray(value, dtype=dtype)
     default = _CTX.default_dtype
     if arr.dtype.kind in "iub":
@@ -186,24 +180,6 @@ def _as_array(value, dtype=None) -> np.ndarray:
     elif arr.dtype.kind == "f" and default != np.float64 and arr.dtype != default:
         arr = arr.astype(default)
     return arr
-
-
-def as_input(value, dtype=None):
-    """``np.asarray`` for model entry points.
-
-    Behaves exactly like ``np.asarray(value, dtype=dtype)`` for concrete
-    inputs.  Under the abstract shape interpreter
-    (``repro.devtools.check``) the input is a symbolic stand-in that
-    ``np.asarray`` would reject; this keeps it abstract while applying
-    the same dtype semantics.  Model ``forward``/``forward_batch``
-    implementations should coerce their window argument through this
-    instead of calling ``np.asarray`` directly.
-    """
-    if getattr(value, "__repro_abstract__", False):
-        if dtype is None or np.dtype(dtype) == value.dtype:
-            return value
-        return value.astype(dtype)
-    return np.asarray(value, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +296,7 @@ class Tensor:
         promote, floats recast only under a non-float64 default).
         """
         if not isinstance(data, np.ndarray):
-            if not getattr(data, "__repro_abstract__", False):
-                data = np.asarray(data)
-            # Abstract values expose .dtype/.astype and flow through the
-            # same normalisation below without materialising.
+            data = np.asarray(data)
         default = _CTX.default_dtype
         if data.dtype is not default:
             kind = data.dtype.kind
@@ -849,11 +822,6 @@ class Tensor:
     @staticmethod
     def ones(*shape, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape, rng: np.random.Generator | None = None, requires_grad: bool = False) -> "Tensor":
-        rng = rng or np.random.default_rng()  # repro: ignore[no-nondeterminism-in-hot-path] -- documented convenience default; reproducible paths pass a seeded Generator
-        return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
 
 
 def _padded(data: np.ndarray, pad_width) -> np.ndarray:

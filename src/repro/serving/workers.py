@@ -31,10 +31,6 @@ mid-job (segfault, OOM kill, SIGKILL) is detected by its broken pipe,
 per-request isolation then retries singly against the fresh worker, so
 a murdered process drops zero requests (the chaos suite kills workers
 with SIGKILL to lock this).
-
-Pools also ship whole experiments: :meth:`run` sends a
-:class:`~repro.api.RunSpec` (as its ``to_dict()`` payload) to a worker,
-which fits and evaluates it out-of-process and returns the metrics.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ def _worker_main(conn, artifact, served_dtype, forecaster) -> None:
     ``(kind, payload)`` tuples; replies are ``("ok", result)`` or
     ``("err", exception)``.
     """
-    from repro.api import Forecaster, RunSpec
+    from repro.api import Forecaster
 
     if forecaster is None and artifact is not None:
         forecaster = Forecaster.load(artifact, served_dtype=served_dtype)
@@ -78,13 +74,6 @@ def _worker_main(conn, artifact, served_dtype, forecaster) -> None:
                 result = "pong"
             elif kind == "predict":
                 result = forecaster.predict(np.asarray(payload))
-            elif kind == "run":
-                spec = RunSpec.from_dict(payload)
-                fitted = spec.forecaster().fit(spec.data.load())
-                result = {
-                    "model": spec.model,
-                    "overall": fitted.evaluate(spec.data.load()).overall(),
-                }
             else:
                 result = ValueError(f"unknown job kind {kind!r}")
                 conn.send(("err", result))
@@ -123,7 +112,6 @@ class WorkerPool:
 
         with WorkerPool("sthsl.npz", workers=2) as pool:
             stacked = pool.predict(window[None])        # (1, R, C)
-            metrics = pool.run(RunSpec(model="Seasonal-Naive"))
 
     ``served_dtype`` is the compute dtype every worker serves the
     artifact in, with the same meaning as in :meth:`Forecaster.load`
@@ -348,20 +336,6 @@ class WorkerPool:
         mid-job (a replacement is already up when it raises).
         """
         return self._dispatch(("predict", np.asarray(windows)))
-
-    def run(self, spec) -> dict:
-        """Fit and evaluate one :class:`~repro.api.RunSpec` out-of-process.
-
-        ``spec`` may be a ``RunSpec`` or its ``to_dict()`` payload — the
-        dict is what rides the pipe (shared-nothing: the child rebuilds
-        the spec, loads its own data, fits its own model) and the
-        returned metrics dict is JSON-safe::
-
-            metrics = pool.run(RunSpec(model="Seasonal-Naive"))
-            print(metrics["overall"]["mae"])
-        """
-        payload = spec.to_dict() if hasattr(spec, "to_dict") else dict(spec)
-        return self._dispatch(("run", payload))
 
     def ping(self) -> str:
         """Round-trip a no-op job through one worker (returns ``"pong"``)."""

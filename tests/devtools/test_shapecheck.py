@@ -1,17 +1,15 @@
-"""Semantic-pass tests: the abstract interpreter and the contract checker.
+"""Semantic-pass tests: the concrete shape check and the contract checker.
 
-Three layers, mirroring the implementation:
+Two layers, mirroring the implementation:
 
-* the **full matrix** — every registered model x {6x6, 16x16} x
-  {native, float32} interprets cleanly (the same sweep `repro lint
-  --check shapes` gates CI on);
+* the **full matrix** — every registered model x {native, float32}
+  runs cleanly on the check geometry (the same sweep `repro lint
+  --check shapes` gates CI on) and on a second, taller and larger one;
 * **seeded violations** — toy models with a deliberate shape break,
-  dtype leak, broadcast coincidence, and capability-flag lie, each
-  detected with the right problem kind and, through the lint pass,
-  the right rule id anchored at a real ``path:line``;
-* **transfer-rule agreement** — the abstract conv rules must predict
-  the exact output shape/dtype of the concrete ``kernels.py`` conv
-  kernel, mixed input/weight dtypes included.
+  dtype leak, broadcast of two different dims, capability-flag lie and
+  raising builder, each detected with the right problem kind and,
+  through the lint pass, the right rule id anchored at a real
+  ``path:line``.
 """
 
 from __future__ import annotations
@@ -19,29 +17,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.api.registry import REGISTRY, ModelGeometry, ModelSpec
+from repro.api.registry import REGISTRY, ModelSpec
 from repro.devtools import run_lint
-from repro.devtools.check import (
-    BATCH_SENTINELS,
-    AbstractArray,
-    SymDim,
-    Trace,
-    abstract_input,
+from repro.devtools.lint.passes import shapes
+from repro.devtools.lint.passes.shapes import (
+    GEOMETRY,
+    MODES,
+    CheckGeometry,
+    ModelReport,
+    Problem,
     check_model,
     check_registry,
 )
-from repro.devtools.check.interpret import ModelReport, Problem
-from repro.nn import Tensor, ops
+from repro.nn import Tensor
 
 pytestmark = pytest.mark.lint_smoke
 
-GEOMETRIES = ((6, 6), (16, 16))
-MODES = ("native", "float32")
-
-
-def _geometry(rows, cols):
-    return ModelGeometry(rows=rows, cols=cols, num_categories=4)
+# Rows > cols where the check geometry has rows < cols, and R in the
+# hundreds: a size hard-coded to fit 5x7 fails here.
+TALL = CheckGeometry(rows=16, cols=12, categories=4, window=8, hidden=10, batch_sizes=(3, 5))
+GEOMETRIES = pytest.mark.parametrize("geometry", [GEOMETRY, TALL], ids=["5x7", "16x12"])
 
 
 # ---------------------------------------------------------------------
@@ -50,11 +45,11 @@ def _geometry(rows, cols):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("rows,cols", GEOMETRIES)
+@GEOMETRIES
 @pytest.mark.parametrize("name", REGISTRY.names())
-def test_model_interprets_cleanly(name, rows, cols, mode):
-    spec = REGISTRY.spec(name)
-    report = check_model(spec, _geometry(rows, cols), window=8, hidden=8, mode=mode)
+def test_model_runs_cleanly(name, geometry, mode, monkeypatch):
+    monkeypatch.setattr(shapes, "GEOMETRY", geometry)
+    report = check_model(REGISTRY.spec(name), mode=mode)
     if report.skipped:
         # Mirrors Forecaster.load: only builders with a compute_dtype
         # knob have a float32 serving mode to check.
@@ -62,42 +57,23 @@ def test_model_interprets_cleanly(name, rows, cols, mode):
         assert report.skip_reason == "builder does not accept compute_dtype"
         return
     assert report.ok, "\n".join(p.describe() for p in report.problems)
-    assert report.trace is not None
 
 
 def test_check_registry_covers_the_full_matrix():
     reports = check_registry()
-    assert len(reports) == len(REGISTRY.names()) * len(GEOMETRIES) * len(MODES)
+    assert len(reports) == len(REGISTRY.names()) * len(MODES)
     assert all(r.ok for r in reports)
-    # Batched models must have been driven at both sentinels.
     batched = [r for r in reports if REGISTRY.spec(r.model).supports_batching]
     assert batched, "expected supports_batching models in the registry"
 
 
-# ---------------------------------------------------------------------
-# SymDim algebra.
-# ---------------------------------------------------------------------
-
-
-def test_symdim_tracks_conv_geometry():
-    T = SymDim(8, "T")
-    out = (T + 2 * 1 - 3) // 1 + 1  # same-padded k=3 stride-1 conv
-    assert int(out) == 8
-    assert str(out) == "(T+2-3)//1+1"
-    assert out.symbolic
-
-
-def test_symdim_concrete_arithmetic_stays_plain():
-    R = SymDim(36, "R")
-    assert repr(R - R + 36) != "R"  # int fallthrough keeps correctness
-    assert int(R * 2) == 72
-    assert not SymDim(5).symbolic
-
-
-def test_symdim_is_an_int_everywhere():
-    B = SymDim(3, "B")
-    assert isinstance(B, int)
-    assert np.zeros((B, 2)).shape == (3, 2)
+def test_check_geometry_sizes_must_all_differ():
+    with pytest.raises(ValueError, match="must all differ"):
+        CheckGeometry(rows=6, cols=6, categories=4, window=8, hidden=10, batch_sizes=(3, 5))
+    with pytest.raises(ValueError, match="must all differ"):  # R == T
+        CheckGeometry(rows=2, cols=5, categories=4, window=10, hidden=12, batch_sizes=(3, 7))
+    with pytest.raises(ValueError, match="must all differ"):  # B == C
+        CheckGeometry(rows=5, cols=7, categories=3, window=11, hidden=26, batch_sizes=(3, 13))
 
 
 # ---------------------------------------------------------------------
@@ -129,8 +105,22 @@ class _DtypeLeaky:
         return xf[:, -1, :] @ self._w  # promotes back to float64
 
 
-class _BroadcastCoincidence:
-    """Aligns a T-derived dim with an R-derived dim (equal only here)."""
+class _TensorLeakCastBack:
+    """float32 Tensor op promoting to float64, cast back before returning."""
+
+    def __init__(self, num_categories):
+        self._w = Tensor(np.zeros((num_categories, num_categories), dtype=np.float64))
+
+    def eval(self):
+        return self
+
+    def forward(self, window):
+        x = Tensor(np.asarray(window, dtype=np.float32))
+        return (x[:, -1, :] @ self._w).data.astype(np.float32)
+
+
+class _BroadcastDifferentDims:
+    """Adds a T-derived vector to an R-derived one."""
 
     def eval(self):
         return self
@@ -153,11 +143,11 @@ class _FlagLiar:
 
 
 class _BatchConcretiser(_FlagLiar):
-    """forward_batch whose output batch dim is hard-coded, not symbolic."""
+    """forward_batch whose output batch dim is hard-coded."""
 
     def forward_batch(self, windows):
         return np.zeros(
-            (BATCH_SENTINELS[0], windows.shape[1], windows.shape[3]), dtype=np.float64
+            (GEOMETRY.batch_sizes[0], windows.shape[1], windows.shape[3]), dtype=np.float64
         )
 
 
@@ -173,110 +163,103 @@ def _spec(model_cls, name="toy", accepts_dtype=False, **flags):
     return ModelSpec(name=name, builder=build, **flags)
 
 
-def test_shape_break_detected():
-    report = check_model(_spec(_ShapeBroken), _geometry(6, 6))
-    kinds = {p.kind for p in report.problems}
-    assert kinds == {"shape"}
-    assert "(R, T) != expected (R, C)" in report.problems[0].message
+@GEOMETRIES
+def test_shape_break_detected(geometry, monkeypatch):
+    monkeypatch.setattr(shapes, "GEOMETRY", geometry)
+    report = check_model(_spec(_ShapeBroken))
+    assert [p.kind for p in report.problems] == ["shape"]
+    R, T, C = geometry.regions, geometry.window, geometry.categories
+    assert f"(R={R}, T={T}) != expected (R={R}, C={C})" in report.problems[0].message
 
 
 def test_dtype_leak_detected_only_in_float32_mode():
     spec = _spec(_DtypeLeaky, accepts_dtype=True)
-    leaky = check_model(spec, _geometry(6, 6), mode="float32")
+    leaky = check_model(spec, mode="float32")
     assert [p.kind for p in leaky.problems] == ["dtype-leak"]
-    assert "promotes to float64 in float32 mode" in leaky.problems[0].message
-    native = check_model(spec, _geometry(6, 6))
+    assert "output dtype float64 in float32 mode" in leaky.problems[0].message
+    native = check_model(spec)
     assert native.ok  # promotion to the native dtype is not a leak
 
 
-def test_broadcast_coincidence_detected_and_symbol_aware():
-    # window == num_regions makes T and R numerically equal on 6x6.
-    report = check_model(_spec(_BroadcastCoincidence), _geometry(6, 6), window=36)
+def test_tensor_leak_cast_back_detected_only_in_float32_mode():
+    # The output is float32 again: only the spy on Tensor._from_array
+    # sees the float64 matmul result.
+    spec = _spec(_TensorLeakCastBack, accepts_dtype=True)
+    from_array = Tensor.__dict__["_from_array"]
+    leaky = check_model(spec, mode="float32")
+    assert Tensor.__dict__["_from_array"] is from_array  # the spy is gone again
+    assert [p.kind for p in leaky.problems] == ["dtype-leak"]
+    assert "reached Tensor._from_array in float32 mode" in leaky.problems[0].message
+    assert "__matmul__() with shape (R=35, C=3)" in leaky.problems[0].message
+    assert check_model(spec).ok
+
+
+def test_broadcast_of_different_dims_detected():
+    report = check_model(_spec(_BroadcastDifferentDims))
     assert [p.kind for p in report.problems] == ["broadcast"]
-    assert "only by coincidence" in report.problems[0].message
-    # When the values differ, the add is an outright shape error instead —
-    # the coincidence detector only speaks when numpy would stay silent.
-    honest = check_model(_spec(_BroadcastCoincidence), _geometry(6, 6), window=8)
-    assert [p.kind for p in honest.problems] == ["shape"]
+    assert "could not be broadcast" in report.problems[0].message
 
 
 def test_capability_flag_without_forward_batch_detected():
-    report = check_model(_spec(_FlagLiar, supports_batching=True), _geometry(6, 6))
+    report = check_model(_spec(_FlagLiar, supports_batching=True))
     assert [p.kind for p in report.problems] == ["capability"]
     assert "no forward_batch" in report.problems[0].message
 
 
 def test_unadvertised_forward_batch_detected():
-    report = check_model(
-        _spec(_BatchConcretiser, supports_batching=False), _geometry(6, 6)
-    )
+    report = check_model(_spec(_BatchConcretiser, supports_batching=False))
     assert any(
         p.kind == "capability" and "supports_batching=False" in p.message
         for p in report.problems
     )
 
 
-def test_batch_concretisation_caught_by_second_sentinel():
-    report = check_model(
-        _spec(_BatchConcretiser, supports_batching=True), _geometry(6, 6)
-    )
+def test_batch_concretisation_caught_by_second_batch_size():
+    report = check_model(_spec(_BatchConcretiser, supports_batching=True))
     capability = [p for p in report.problems if p.kind == "capability"]
-    assert capability, "hard-coded batch size must fail at the other sentinel"
+    assert capability, "hard-coded batch size must fail at the other batch size"
     assert any("supports_batching=True is not honoured" in p.message for p in capability)
+    assert all(f"B={GEOMETRY.batch_sizes[1]}" in p.message for p in capability)
 
 
-# ---------------------------------------------------------------------
-# Transfer-rule agreement with the concrete conv kernel.
-# ---------------------------------------------------------------------
+def test_raising_builder_is_a_shape_problem():
+    def build(geometry, *, window, hidden, seed, **overrides):
+        raise ValueError("unsupported grid")
+
+    report = check_model(ModelSpec(name="toy", builder=build))
+    assert [p.kind for p in report.problems] == ["shape"]
+    assert "builder raised ValueError: unsupported grid" in report.problems[0].message
 
 
-@pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (2, 1)])
-def test_conv2d_transfer_matches_kernel(w_dtype, stride, padding):
-    x = np.linspace(0, 1, 2 * 3 * 8 * 8, dtype=np.float32).reshape(2, 3, 8, 8)
-    w = np.full((5, 3, 3, 3), 0.1, dtype=w_dtype)
-    b = np.zeros(5, dtype=np.float32)
-    with nn.no_grad():
-        concrete = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding)
-        abstract = ops.conv2d(
-            Tensor(abstract_input(x.shape, x.dtype, Trace())),
-            Tensor(w),
-            Tensor(b),
-            stride,
-            padding,
-        )
-    assert tuple(map(int, abstract.shape)) == concrete.shape
-    assert abstract.data.dtype == concrete.data.dtype
+def test_builder_type_error_skips_only_the_float32_mode():
+    spec = _spec(_ShapeBroken, accepts_dtype=False)
+    float32 = check_model(spec, mode="float32")
+    assert float32.skipped and float32.ok
+    assert float32.skip_reason == "builder does not accept compute_dtype"
+
+    def build(geometry, *, window, hidden, seed, **overrides):
+        raise TypeError("bad hidden size")
+
+    native = check_model(ModelSpec(name="toy", builder=build))
+    assert not native.skipped
+    assert [p.kind for p in native.problems] == ["shape"]
+    assert "builder raised TypeError: bad hidden size" in native.problems[0].message
 
 
-@pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("stride,padding,dilation", [(1, 1, 1), (1, 2, 2), (2, 0, 1)])
-def test_conv1d_transfer_matches_kernel(w_dtype, stride, padding, dilation):
-    x = np.linspace(0, 1, 2 * 3 * 16, dtype=np.float32).reshape(2, 3, 16)
-    w = np.full((4, 3, 3), 0.1, dtype=w_dtype)
-    with nn.no_grad():
-        concrete = ops.conv1d(Tensor(x), Tensor(w), None, stride, padding, dilation)
-        abstract = ops.conv1d(
-            Tensor(abstract_input(x.shape, x.dtype, Trace())),
-            Tensor(w),
-            None,
-            stride,
-            padding,
-            dilation,
-        )
-    assert tuple(map(int, abstract.shape)) == concrete.shape
-    assert abstract.data.dtype == concrete.data.dtype
+class _LeakThenRaise(_TensorLeakCastBack):
+    """Makes a float64 Tensor, then fails before returning."""
+
+    def forward(self, window):
+        super().forward(window)
+        raise RuntimeError("late failure")
 
 
-def test_conv2d_symbolic_width_survives():
-    trace = Trace()
-    W = SymDim(8, "W")
-    x = Tensor(abstract_input((1, 3, W, W), np.float64, trace))
-    w = Tensor(np.zeros((2, 3, 3, 3)))
-    with nn.no_grad():
-        out = ops.conv2d(x, w, None, 1, 1)
-    assert str(out.shape[2]) == "(W+2-3)//1+1"
-    assert int(out.shape[2]) == 8
+def test_float64_spy_is_removed_when_the_forward_raises():
+    from_array = Tensor.__dict__["_from_array"]
+    report = check_model(_spec(_LeakThenRaise, accepts_dtype=True), mode="float32")
+    assert Tensor.__dict__["_from_array"] is from_array
+    assert [p.kind for p in report.problems] == ["shape"]
+    assert "forward raised RuntimeError: late failure" in report.problems[0].message
 
 
 # ---------------------------------------------------------------------
@@ -301,19 +284,18 @@ def test_unknown_check_rejected():
 
 
 def test_pass_findings_carry_registration_anchor(monkeypatch):
-    """A seeded interpreter problem surfaces at api/registry.py:<line>."""
-    import repro.devtools.check as check_pkg
+    """A seeded problem surfaces at api/registry.py:<line>."""
     from repro.devtools.lint.engine import default_root
-    from repro.devtools.lint.passes.shapes import registration_lines
+    from repro.devtools.lint.passes import shapes
 
-    problem = Problem("dtype-leak", "ST-HSL", "6x6", "float32", "seeded leak")
-    seeded = ModelReport("ST-HSL", (6, 6), "float32", problems=[problem])
-    monkeypatch.setattr(check_pkg, "check_registry", lambda: [seeded])
+    problem = Problem("dtype-leak", "ST-HSL", "float32", "seeded leak")
+    seeded = ModelReport("ST-HSL", "float32", problems=[problem])
+    monkeypatch.setattr(shapes, "check_registry", lambda: [seeded])
 
     report = run_lint(checks=["shapes"])
     findings = [f for f in report.unsuppressed if f.rule == "dtype-promotion-leak"]
     assert len(findings) == 1
-    relpath, anchors = registration_lines(default_root())
+    relpath, anchors = shapes.registration_lines(default_root())
     assert findings[0].path == relpath == "api/registry.py"
     assert findings[0].line == anchors["ST-HSL"] > 1
     assert "seeded leak" in findings[0].message

@@ -185,6 +185,51 @@ class TestConv2dBackward:
         )
 
 
+class TestConvOutputContract:
+    """Output size follows the closed form per axis; dtype is ``np.result_type``.
+
+    float32 inputs meet float32 and float64 weights on padded, unpadded,
+    strided and dilated geometries; values match the float64 reference.
+    """
+
+    @pytest.mark.parametrize("w_dtype", DTYPES)
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (2, 1)])
+    def test_conv2d(self, w_dtype, stride, padding):
+        x, w, b = _arrays("float32", (2, 3, 8, 8), (5, 3, 3, 3), (5,))
+        w = w.astype(w_dtype)
+        out = _both_paths(conv2d, (x, w, b), stride=stride, padding=padding)
+        side = (8 + 2 * padding - 3) // stride + 1
+        assert out.shape == (2, 5, side, side)
+        assert out.dtype == np.result_type(x, w)
+        np.testing.assert_allclose(
+            out, _reference_conv2d(x, w, b, stride, padding), **VALUE_TOL[out.dtype.name]
+        )
+
+    @pytest.mark.parametrize("w_dtype", DTYPES)
+    @pytest.mark.parametrize("stride,padding,dilation", [(1, 1, 1), (1, 2, 2), (2, 0, 1)])
+    def test_conv1d(self, w_dtype, stride, padding, dilation):
+        x, w = _arrays("float32", (2, 3, 16), (4, 3, 3))
+        w = w.astype(w_dtype)
+        out = _both_paths(conv1d, (x, w), stride=stride, padding=padding, dilation=dilation)
+        length = (16 + 2 * padding - dilation * (3 - 1) - 1) // stride + 1
+        assert out.shape == (2, 4, length)
+        assert out.dtype == np.result_type(x, w)
+        np.testing.assert_allclose(
+            out,
+            _reference_conv1d(x, w, np.zeros(4), stride, padding, dilation),
+            **VALUE_TOL[out.dtype.name],
+        )
+
+    @pytest.mark.parametrize("height,width", [(2, 5), (5, 2)], ids=["height", "width"])
+    def test_conv2d_kernel_larger_than_input_raises(self, height, width):
+        x, w = _arrays("float64", (1, 1, height, width), (1, 1, 3, 3))
+        with pytest.raises(ValueError, match="conv2d output size <= 0"):
+            conv2d(Tensor(x), Tensor(w))
+        with no_grad(), pytest.raises(ValueError, match="conv2d output size <= 0"):
+            conv2d(Tensor(x), Tensor(w))
+        assert conv2d(Tensor(x), Tensor(w), padding=1).shape == (1, 1, height, width)
+
+
 class TestConv1dForward:
     def test_matches_manual(self):
         x, w = _t(1, 1, 8), _t(1, 1, 3)

@@ -6,8 +6,6 @@ properties locked here:
 * a pool prediction is **bitwise-equal** to the in-process one (the
   pickled ndarray round trip is exact, and each worker owns a private
   arena — shared-nothing);
-* ``RunSpec.to_dict()`` jobs fit and evaluate whole experiments
-  out-of-process and return JSON-safe metrics;
 * a worker killed with SIGKILL is detected, respawned, and the
   interrupted job fails typed
   (:class:`~repro.serving.WorkerCrashedError`) while later jobs
@@ -26,7 +24,7 @@ import signal
 import numpy as np
 import pytest
 
-from repro.api import DataSpec, ExperimentBudget, Forecaster, RunSpec
+from repro.api import DataSpec, ExperimentBudget, Forecaster
 from repro.serving import (
     ForecastService,
     NetworkServer,
@@ -107,21 +105,6 @@ class TestPredictJobs:
         assert not isinstance(excinfo.value, WorkerCrashedError), (
             "a model-side validation error must not masquerade as a crash"
         )
-
-
-class TestRunSpecJobs:
-    def test_runspec_dict_job_fits_out_of_process(self, pool):
-        spec = RunSpec(model="HA", data=DATA, budget=BUDGET)
-        metrics = pool.run(spec.to_dict())  # the wire form: a plain dict
-        assert metrics["model"] == "HA"
-        assert set(metrics["overall"]) >= {"mae", "mape"}
-        assert all(np.isfinite(v) for v in metrics["overall"].values())
-
-    def test_runspec_object_job_is_equivalent(self, pool):
-        spec = RunSpec(model="HA", data=DATA, budget=BUDGET)
-        via_object = pool.run(spec)
-        via_dict = pool.run(spec.to_dict())
-        assert via_object["overall"] == via_dict["overall"]
 
 
 class TestCrashRecovery:
