@@ -2,12 +2,12 @@
 
 Every bench regenerates one paper table or figure at reduced scale
 (DESIGN.md §5): a 6x6-region grid, ~100-day span, matched budgets.
-The whole protocol is described by serializable :class:`repro.api.RunSpec`
-values (data + model + budget), so a bench row is "one spec, executed
-through the shared experiment path".  Paper reference values are printed
-next to measured ones so the *shape* comparison (orderings, relative
-gaps) is visible in the bench output; EXPERIMENTS.md records the
-comparison for the checked-in run.
+The whole protocol is described by :class:`repro.api.RunSpec` values
+(data + model + budget), so a bench row is "one spec, fitted and
+evaluated as a :class:`repro.api.Forecaster`", the path ``repro train``
+takes.  Paper reference values are printed next to measured ones so the
+*shape* comparison (orderings, relative gaps) is visible in the bench
+output; EXPERIMENTS.md records the comparison for the checked-in run.
 """
 
 from __future__ import annotations

@@ -11,23 +11,20 @@
 import numpy as np
 import pytest
 
-from repro.analysis import default_config, train_and_evaluate
 from repro.analysis.visualization import format_table
-from repro.api import REGISTRY
-from repro.core import STHSL
+from repro.api import Forecaster
 
-from common import QUICK_BUDGET, WINDOW, dataset, print_header
+from common import QUICK_BUDGET, dataset, print_header
+
+
+def _evaluate(data, model="ST-HSL", **overrides):
+    """Fit ``model`` under the quick budget and evaluate it on the test split."""
+    return Forecaster(model, budget=QUICK_BUDGET, overrides=overrides).fit(data).evaluate(data)
 
 
 def _temperature_sweep():
     data = dataset("nyc")
-    out = {}
-    for tau in (0.1, 0.5, 1.0, 2.0):
-        config = default_config(data, QUICK_BUDGET, temperature=tau)
-        model = STHSL(config, seed=QUICK_BUDGET.seed)
-        run = train_and_evaluate(model, data, QUICK_BUDGET)
-        out[tau] = run.evaluation.overall()
-    return out
+    return {tau: _evaluate(data, temperature=tau).overall() for tau in (0.1, 0.5, 1.0, 2.0)}
 
 
 @pytest.mark.benchmark(group="extras")
@@ -41,13 +38,10 @@ def test_infonce_temperature_sweep(benchmark):
 
 def _corruption_sweep():
     data = dataset("nyc")
-    out = {}
-    for strategy in ("shuffle", "noise"):
-        config = default_config(data, QUICK_BUDGET, corruption=strategy)
-        model = STHSL(config, seed=QUICK_BUDGET.seed)
-        run = train_and_evaluate(model, data, QUICK_BUDGET)
-        out[strategy] = run.evaluation.overall()
-    return out
+    return {
+        strategy: _evaluate(data, corruption=strategy).overall()
+        for strategy in ("shuffle", "noise")
+    }
 
 
 @pytest.mark.benchmark(group="extras")
@@ -66,15 +60,13 @@ def _hyperedge_sparsity_interaction():
     data = dataset("nyc")
     out = {}
     for num_hyperedges in (4, 32):
-        config = default_config(data, QUICK_BUDGET, num_hyperedges=num_hyperedges)
-        model = STHSL(config, seed=QUICK_BUDGET.seed)
-        run = train_and_evaluate(model, data, QUICK_BUDGET)
-        cohorts = run.evaluation.by_density(data.tensor)
+        evaluation = _evaluate(data, num_hyperedges=num_hyperedges)
+        cohorts = evaluation.by_density(data.tensor)
         sparse = np.nanmean(
             [m["mae"] for m in cohorts[(0.0, 0.25)].values()]
         )
         out[num_hyperedges] = {
-            "overall": run.evaluation.overall()["mae"],
+            "overall": evaluation.overall()["mae"],
             "sparse_cohort": float(sparse),
         }
     return out
@@ -93,24 +85,16 @@ def test_hyperedge_count_vs_sparsity(benchmark):
 
 def _hypergraph_comparison():
     data = dataset("nyc")
-    out = {}
-    # Learnable incidence (ST-HSL without SSL, isolating the structure).
-    config = default_config(data, QUICK_BUDGET, use_infomax=False, use_contrastive=False)
-    model = STHSL(config, seed=QUICK_BUDGET.seed)
-    out["learnable incidence (no SSL)"] = train_and_evaluate(
-        model, data, QUICK_BUDGET
-    ).evaluation.overall()
-    # Full ST-HSL (learnable incidence + dual-stage SSL).
-    full = STHSL(default_config(data, QUICK_BUDGET), seed=QUICK_BUDGET.seed)
-    out["learnable incidence + SSL"] = train_and_evaluate(
-        full, data, QUICK_BUDGET
-    ).evaluation.overall()
-    # Static incidence (STSHN).
-    stshn = REGISTRY.build("STSHN", dataset=data, window=WINDOW, hidden=8, seed=QUICK_BUDGET.seed)
-    out["static incidence (STSHN)"] = train_and_evaluate(
-        stshn, data, QUICK_BUDGET
-    ).evaluation.overall()
-    return out
+    return {
+        # Learnable incidence (ST-HSL without SSL, isolating the structure).
+        "learnable incidence (no SSL)": _evaluate(
+            data, use_infomax=False, use_contrastive=False
+        ).overall(),
+        # Full ST-HSL (learnable incidence + dual-stage SSL).
+        "learnable incidence + SSL": _evaluate(data).overall(),
+        # Static incidence (STSHN).
+        "static incidence (STSHN)": _evaluate(data, "STSHN").overall(),
+    }
 
 
 @pytest.mark.benchmark(group="extras")

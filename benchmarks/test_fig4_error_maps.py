@@ -8,7 +8,7 @@ rendered as ASCII heat maps of the city grid (darker = higher error).
 import numpy as np
 import pytest
 
-from repro.analysis import ascii_heatmap, run as run_experiment
+from repro.analysis import ascii_heatmap
 
 from common import QUICK_BUDGET, dataset, print_header, run_spec
 
@@ -19,8 +19,8 @@ def _error_maps(city: str):
     data = dataset(city)
     maps = {}
     for name in MODELS:
-        run = run_experiment(run_spec(city, name, QUICK_BUDGET), dataset=data)
-        maps[name] = run.evaluation.per_region_mape()
+        evaluation = run_spec(city, name, QUICK_BUDGET).forecaster().fit(data).evaluate(data)
+        maps[name] = evaluation.per_region_mape()
     return maps
 
 

@@ -8,7 +8,6 @@ robustness study.
 import numpy as np
 import pytest
 
-from repro.analysis import run as run_experiment
 from repro.analysis.visualization import format_table
 
 from common import QUICK_BUDGET, dataset, print_header, run_spec
@@ -20,8 +19,8 @@ def _by_density(city: str):
     data = dataset(city)
     out = {}
     for name in MODELS:
-        run = run_experiment(run_spec(city, name, QUICK_BUDGET), dataset=data)
-        out[name] = run.evaluation.by_density(data.tensor)
+        evaluation = run_spec(city, name, QUICK_BUDGET).forecaster().fit(data).evaluate(data)
+        out[name] = evaluation.by_density(data.tensor)
     return out
 
 

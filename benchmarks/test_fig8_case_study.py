@@ -10,13 +10,8 @@ similar crime patterns than random region pairs.
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    HyperedgeCaseStudy,
-    ascii_heatmap,
-    functionality_alignment,
-    make_sthsl,
-    train_and_evaluate,
-)
+from repro.analysis import HyperedgeCaseStudy, ascii_heatmap, functionality_alignment
+from repro.api import Forecaster
 from repro.data import SyntheticCrimeGenerator, poi_for_generator
 from repro.training import WindowDataset
 
@@ -25,8 +20,7 @@ from common import QUICK_BUDGET, WINDOW, dataset, print_header
 
 def _case_study():
     data = dataset("chicago")  # the paper's Figure 8 uses Chicago
-    model = make_sthsl(data, QUICK_BUDGET)
-    train_and_evaluate(model, data, QUICK_BUDGET)
+    model = Forecaster("ST-HSL", budget=QUICK_BUDGET).fit(data).model
     windows = WindowDataset(data, window=WINDOW)
     sample = next(windows.samples("test"))
     return HyperedgeCaseStudy.from_model(model, sample.window, data.tensor, k=3), data

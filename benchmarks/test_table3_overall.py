@@ -11,7 +11,6 @@ is competitive-to-best, and classical ARIMA/SVM trail the deep models.
 import numpy as np
 import pytest
 
-from repro.analysis import run as run_experiment
 from repro.baselines import BASELINE_NAMES
 from repro.analysis.visualization import format_table
 
@@ -28,15 +27,14 @@ PAPER_STHSL = {
 
 def _run_city(city: str):
     # Every row — the fifteen baselines and ST-HSL — is one RunSpec
-    # resolved through the model registry and executed through the shared
-    # experiment path (STGCN and ST-HSL take the batched trainer path,
-    # per their specs' supports_batching capability).
+    # fitted and evaluated as a Forecaster, the path `repro train` takes
+    # (models whose specs advertise supports_batching train with batched
+    # steps, the rest per sample).
     data = dataset(city)
-    results = {}
-    for name in (*BASELINE_NAMES, "ST-HSL"):
-        run = run_experiment(run_spec(city, name), dataset=data)
-        results[name] = run.evaluation.per_category()
-    return results
+    return {
+        name: run_spec(city, name).forecaster().fit(data).evaluate(data).per_category()
+        for name in (*BASELINE_NAMES, "ST-HSL")
+    }
 
 
 @pytest.mark.benchmark(group="table3")

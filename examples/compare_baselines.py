@@ -3,9 +3,9 @@
 Trains ST-HSL against a representative subset of the paper's fifteen
 baselines (one per family: classical, CNN, GNN, attention, hypergraph)
 under an identical budget and prints a ranked table.  Each run is
-described by a serializable :class:`repro.api.RunSpec` and executed
-through the shared experiment protocol, so every model — ST-HSL included
-— resolves through the model registry and trains under the same budget.
+described by a :class:`repro.api.RunSpec` and fitted and evaluated as a
+:class:`repro.api.Forecaster`, so every model — ST-HSL included —
+resolves through the model registry and trains under the same budget.
 
 Usage::
 
@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from repro.analysis import run as run_experiment
 from repro.analysis.visualization import format_table
 from repro.api import DataSpec, ExperimentBudget, RunSpec
 
@@ -25,10 +24,14 @@ from repro.api import DataSpec, ExperimentBudget, RunSpec
 MODELS = ("ARIMA", "SVM", "ST-ResNet", "STGCN", "DeepCrime", "STSHN", "ST-HSL")
 
 
-def main(city: str = "nyc") -> None:
+def main(city: str = "nyc", rows: int = 6, cols: int = 6, num_days: int = 120,
+         window: int = 14, epochs: int = 4, train_limit: int | None = 30) -> None:
+    """Rank ``MODELS`` on ``city`` under one shared budget at the given scale."""
     base = RunSpec(
-        data=DataSpec(city=city, rows=6, cols=6, num_days=120, seed=0),
-        budget=ExperimentBudget(window=14, epochs=4, train_limit=30, batch_size=4, seed=0),
+        data=DataSpec(city=city, rows=rows, cols=cols, num_days=num_days, seed=0),
+        budget=ExperimentBudget(
+            window=window, epochs=epochs, train_limit=train_limit, batch_size=4, seed=0
+        ),
         hidden=8,
     )
     dataset = base.data.load()
@@ -36,9 +39,8 @@ def main(city: str = "nyc") -> None:
 
     scores: dict[str, dict] = {}
     for name in MODELS:
-        spec = base.with_model(name)
-        run = run_experiment(spec, dataset=dataset)
-        scores[name] = run.evaluation.overall()
+        forecaster = base.with_model(name).forecaster().fit(dataset)
+        scores[name] = forecaster.evaluate(dataset).overall()
         print(f"trained {name:12s} MAE={scores[name]['mae']:.4f}")
 
     ranked = sorted(scores.items(), key=lambda kv: kv[1]["mae"])

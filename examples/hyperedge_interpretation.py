@@ -11,24 +11,22 @@ Usage::
 
 import numpy as np
 
-from repro.analysis import (
-    ExperimentBudget,
-    HyperedgeCaseStudy,
-    functionality_alignment,
-    make_sthsl,
-    train_and_evaluate,
-)
+from repro.analysis import HyperedgeCaseStudy, functionality_alignment
 from repro.analysis.visualization import ascii_heatmap
+from repro.api import ExperimentBudget, Forecaster
 from repro.data import SyntheticCrimeGenerator, load_city, poi_for_generator
 from repro.training import WindowDataset
 
 
-def main() -> None:
-    dataset = load_city("chicago", rows=6, cols=6, num_days=120, seed=0)
-    budget = ExperimentBudget(window=14, epochs=3, train_limit=30, batch_size=4, seed=0)
+def main(rows: int = 6, cols: int = 6, num_days: int = 120,
+         window: int = 14, epochs: int = 3, train_limit: int | None = 30) -> None:
+    """Train ST-HSL, then inspect its learned hyperedges at the given scale."""
+    dataset = load_city("chicago", rows=rows, cols=cols, num_days=num_days, seed=0)
+    budget = ExperimentBudget(
+        window=window, epochs=epochs, train_limit=train_limit, batch_size=4, seed=0
+    )
 
-    model = make_sthsl(dataset, budget)
-    train_and_evaluate(model, dataset, budget)
+    model = Forecaster("ST-HSL", budget=budget).fit(dataset).model
     print(f"trained ST-HSL ({model.num_parameters():,} parameters)")
 
     windows = WindowDataset(dataset, window=budget.window)

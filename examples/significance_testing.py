@@ -12,28 +12,23 @@ Usage::
 
 import numpy as np
 
-from repro.analysis import (
-    ExperimentBudget,
-    bootstrap_ci,
-    daily_errors,
-    make_sthsl,
-    paired_comparison,
-    train_and_evaluate,
-)
-from repro.api import REGISTRY
+from repro.analysis import bootstrap_ci, daily_errors, paired_comparison
+from repro.api import ExperimentBudget, Forecaster
 from repro.data import load_city
 
 
-def main() -> None:
-    dataset = load_city("nyc", rows=6, cols=6, num_days=120, seed=0)
-    budget = ExperimentBudget(window=14, epochs=4, train_limit=30, batch_size=4, seed=0)
+def main(rows: int = 6, cols: int = 6, num_days: int = 120,
+         window: int = 14, epochs: int = 4, train_limit: int | None = 30) -> None:
+    """Compare ST-HSL with STSHN on per-day errors at the given scale."""
+    dataset = load_city("nyc", rows=rows, cols=cols, num_days=num_days, seed=0)
+    budget = ExperimentBudget(
+        window=window, epochs=epochs, train_limit=train_limit, batch_size=4, seed=0
+    )
 
-    sthsl = make_sthsl(dataset, budget)
-    eval_sthsl = train_and_evaluate(sthsl, dataset, budget).evaluation
+    eval_sthsl = Forecaster("ST-HSL", budget=budget).fit(dataset).evaluate(dataset)
     print(f"ST-HSL  overall MAE={eval_sthsl.overall()['mae']:.4f}")
 
-    baseline = REGISTRY.build("STSHN", dataset=dataset, window=budget.window, hidden=8, seed=0)
-    eval_base = train_and_evaluate(baseline, dataset, budget).evaluation
+    eval_base = Forecaster("STSHN", budget=budget).fit(dataset).evaluate(dataset)
     print(f"STSHN   overall MAE={eval_base.overall()['mae']:.4f}")
 
     # Per-day error series and bootstrap CIs.

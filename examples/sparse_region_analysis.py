@@ -12,15 +12,18 @@ Usage::
 
 import numpy as np
 
-from repro.analysis import ExperimentBudget, default_config, train_and_evaluate
 from repro.analysis.visualization import ascii_heatmap, format_density_histogram, format_table
-from repro.core import STHSL
+from repro.api import ExperimentBudget, Forecaster
 from repro.data import density_degree, density_histogram, load_city
 
 
-def main() -> None:
-    dataset = load_city("chicago", rows=6, cols=6, num_days=120, seed=0)
-    budget = ExperimentBudget(window=14, epochs=4, train_limit=30, batch_size=4, seed=0)
+def main(rows: int = 6, cols: int = 6, num_days: int = 120,
+         window: int = 14, epochs: int = 4, train_limit: int | None = 30) -> None:
+    """Show the sparsity skew, then compare ST-HSL with and without SSL."""
+    dataset = load_city("chicago", rows=rows, cols=cols, num_days=num_days, seed=0)
+    budget = ExperimentBudget(
+        window=window, epochs=epochs, train_limit=train_limit, batch_size=4, seed=0
+    )
 
     # --- The sparsity phenomenon (Figure 1 analogue) -------------------
     hist = density_histogram(dataset.tensor)
@@ -38,9 +41,8 @@ def main() -> None:
     }
     cohort_metrics: dict[str, dict] = {}
     for label, overrides in variants.items():
-        model = STHSL(default_config(dataset, budget, **overrides), seed=0)
-        run = train_and_evaluate(model, dataset, budget)
-        cohort_metrics[label] = run.evaluation.by_density(dataset.tensor)
+        forecaster = Forecaster("ST-HSL", budget=budget, overrides=overrides).fit(dataset)
+        cohort_metrics[label] = forecaster.evaluate(dataset).by_density(dataset.tensor)
         print(f"\ntrained: {label}")
 
     print("\nmasked MAE by region density cohort (cf. paper Fig. 6):")

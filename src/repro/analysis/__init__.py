@@ -1,14 +1,13 @@
-"""``repro.analysis`` — ablations, sweeps, interpretation, efficiency."""
+"""``repro.analysis`` — ablations, sweeps, interpretation, efficiency.
 
-from .ablation import MULTIVIEW_VARIANTS, SSL_VARIANTS, run_ablation, variant_config
+The studies sit above :mod:`repro.api`: every ablation variant and sweep
+point is one :class:`~repro.api.Forecaster` fitted and evaluated under a
+shared :class:`~repro.api.ExperimentBudget`, the same path ``repro
+train`` and ``repro compare`` take.
+"""
+
+from .ablation import MULTIVIEW_VARIANTS, SSL_VARIANTS, run_ablation
 from .efficiency import EFFICIENCY_MODELS, run_efficiency_study, time_epoch
-from .experiment import (
-    ExperimentBudget,
-    default_config,
-    make_sthsl,
-    run,
-    train_and_evaluate,
-)
 from .hyperparams import SWEEPS, run_hyperparameter_study, sweep_parameter
 from .statistics import ComparisonResult, bootstrap_ci, daily_errors, paired_comparison
 from .interpretation import (
@@ -20,15 +19,9 @@ from .interpretation import (
 from .visualization import ascii_heatmap, format_density_histogram, format_table
 
 __all__ = [
-    "ExperimentBudget",
-    "train_and_evaluate",
-    "run",
-    "make_sthsl",
-    "default_config",
     "MULTIVIEW_VARIANTS",
     "SSL_VARIANTS",
     "run_ablation",
-    "variant_config",
     "SWEEPS",
     "sweep_parameter",
     "run_hyperparameter_study",

@@ -1,21 +1,17 @@
-"""Ablation variant factory (paper Table IV and Figure 5).
+"""Ablation variants (paper Table IV and Figure 5).
 
-Each named variant maps to a set of :class:`STHSLConfig` switch
-overrides.  The names match the paper's rows exactly.
+Each named variant maps to a set of :class:`~repro.core.STHSLConfig`
+switch overrides, passed to the registry's ST-HSL builder as
+``Forecaster("ST-HSL", overrides=...)``.  The names match the paper's
+rows exactly.
 """
 
 from __future__ import annotations
 
-from ..core import STHSL, STHSLConfig
+from ..api import ExperimentBudget, Forecaster
 from ..data.datasets import CrimeDataset
-from .experiment import ExperimentBudget, default_config, train_and_evaluate
 
-__all__ = [
-    "MULTIVIEW_VARIANTS",
-    "SSL_VARIANTS",
-    "variant_config",
-    "run_ablation",
-]
+__all__ = ["MULTIVIEW_VARIANTS", "SSL_VARIANTS", "run_ablation"]
 
 # Figure 5: multi-view spatial-temporal convolution ablations.
 MULTIVIEW_VARIANTS: dict[str, dict] = {
@@ -54,37 +50,19 @@ SSL_VARIANTS: dict[str, dict] = {
 }
 
 
-def variant_config(
-    name: str,
-    dataset: CrimeDataset,
-    budget: ExperimentBudget,
-    **extra,
-) -> STHSLConfig:
-    """Config for a named paper variant (searched in both tables)."""
-    for table in (SSL_VARIANTS, MULTIVIEW_VARIANTS):
-        if name in table:
-            overrides = dict(table[name])
-            overrides.update(extra)
-            return default_config(dataset, budget, **overrides)
-    raise KeyError(f"unknown ablation variant {name!r}")
-
-
 def run_ablation(
     dataset: CrimeDataset,
     variants: dict[str, dict],
     budget: ExperimentBudget,
-    **config_overrides,
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Train and evaluate every variant; returns per-variant Table IV rows.
 
     Output: ``{variant: {category: {"mae": ..., "mape": ...}}}``.
     """
-    results: dict[str, dict[str, dict[str, float]]] = {}
-    for name, overrides in variants.items():
-        merged = dict(overrides)
-        merged.update(config_overrides)
-        config = default_config(dataset, budget, **merged)
-        model = STHSL(config, seed=budget.seed)
-        run = train_and_evaluate(model, dataset, budget)
-        results[name] = run.evaluation.per_category()
-    return results
+    return {
+        name: Forecaster("ST-HSL", budget=budget, overrides=overrides)
+        .fit(dataset)
+        .evaluate(dataset)
+        .per_category()
+        for name, overrides in variants.items()
+    }

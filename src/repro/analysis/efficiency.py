@@ -8,10 +8,9 @@ expensive) is the reproducible claim.
 
 from __future__ import annotations
 
-from ..api import REGISTRY
+from ..api import REGISTRY, ExperimentBudget
 from ..data.datasets import CrimeDataset
 from ..training import Trainer, WindowDataset
-from .experiment import ExperimentBudget
 
 __all__ = ["time_epoch", "run_efficiency_study", "EFFICIENCY_MODELS"]
 

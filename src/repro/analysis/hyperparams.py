@@ -2,14 +2,15 @@
 
 Sweeps one knob at a time — hidden units, hyperedge count, kernel size,
 number of local conv layers, number of global conv layers — keeping all
-other parameters at defaults, exactly the protocol of §IV-E.
+other parameters at defaults, exactly the protocol of §IV-E.  Each sweep
+point is one ``Forecaster("ST-HSL", overrides={field: value})`` fitted
+and evaluated under the shared budget.
 """
 
 from __future__ import annotations
 
-from ..core import STHSL
+from ..api import ExperimentBudget, Forecaster
 from ..data.datasets import CrimeDataset
-from .experiment import ExperimentBudget, default_config, train_and_evaluate
 
 __all__ = ["SWEEPS", "sweep_parameter", "run_hyperparameter_study"]
 
@@ -30,7 +31,6 @@ def sweep_parameter(
     field: str,
     values: tuple,
     budget: ExperimentBudget,
-    **config_overrides,
 ) -> dict:
     """Train ST-HSL for each value of ``field``; returns overall metrics.
 
@@ -38,26 +38,18 @@ def sweep_parameter(
     """
     results: dict = {}
     for value in values:
-        overrides = dict(config_overrides)
-        overrides[field] = value
+        overrides = {field: value}
         if field == "num_spatial_layers":
             # The paper varies both local conv stacks together.
-            overrides.setdefault("num_temporal_layers", value)
-        config = default_config(dataset, budget, **overrides)
-        model = STHSL(config, seed=budget.seed)
-        run = train_and_evaluate(model, dataset, budget)
-        results[value] = run.evaluation.overall()
+            overrides["num_temporal_layers"] = value
+        forecaster = Forecaster("ST-HSL", budget=budget, overrides=overrides).fit(dataset)
+        results[value] = forecaster.evaluate(dataset).overall()
     return results
 
 
-def run_hyperparameter_study(
-    dataset: CrimeDataset,
-    budget: ExperimentBudget,
-    sweeps: dict[str, tuple[str, tuple]] | None = None,
-) -> dict[str, dict]:
+def run_hyperparameter_study(dataset: CrimeDataset, budget: ExperimentBudget) -> dict[str, dict]:
     """All Figure 7 panels: ``{panel: {value: {"mae", "mape"}}}``."""
-    sweeps = sweeps or SWEEPS
     return {
         panel: sweep_parameter(dataset, field, values, budget)
-        for panel, (field, values) in sweeps.items()
+        for panel, (field, values) in SWEEPS.items()
     }

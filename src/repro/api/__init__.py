@@ -42,15 +42,15 @@ Enumerate and build any registered model::
         print(spec.name, spec.requires_training, spec.supports_batching)
     model = REGISTRY.build("STGCN", dataset=dataset, window=14, hidden=8)
 
-Describe a whole run as serializable data::
+Describe a whole run as one value, then run it as a forecaster::
 
     from repro.api import DataSpec, RunSpec
     spec = RunSpec(model="DeepCrime",
                    data=DataSpec(city="chicago", rows=6, cols=6, num_days=100),
                    budget=ExperimentBudget(epochs=3, train_limit=24))
-    fc = spec.forecaster().fit(spec.data.load())
-    payload = spec.to_dict()                    # JSON-safe round trip
-    assert RunSpec.from_dict(payload) == spec
+    dataset = spec.data.load()
+    result = spec.forecaster().fit(dataset).evaluate(dataset)
+    other = spec.with_model("STGCN")            # same data and budget
 """
 
 from .artifacts import (

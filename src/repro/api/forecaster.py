@@ -143,11 +143,12 @@ class Forecaster:
                 train_limit=self.budget.train_limit,
                 verbose=verbose,
             )
-            self.training_ = {
-                "epochs_run": len(result.history),
-                "best_epoch": result.best_epoch,
-                "best_val_mae": float(result.best_val_mae),
-            }
+            if result.history:  # a zero-epoch fit has no best epoch to record
+                self.training_ = {
+                    "epochs_run": len(result.history),
+                    "best_epoch": result.best_epoch,
+                    "best_val_mae": float(result.best_val_mae),
+                }
         return self
 
     def predict(self, window: np.ndarray) -> np.ndarray:

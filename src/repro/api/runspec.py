@@ -1,13 +1,12 @@
-"""Serializable run descriptions: data + model + budget as plain data.
+"""Run descriptions: data + model + budget as frozen values.
 
 A :class:`RunSpec` fully describes one training run — which dataset to
 load (:class:`DataSpec`), which registered model to build, and under what
-:class:`ExperimentBudget` to train it.  Specs round-trip through
-``to_dict``/``from_dict`` (JSON-safe types only), so runs can be stored
-beside results, shipped to workers, or reconstructed from a checkpoint
-manifest.  The CLI, the benchmark harness and the examples all describe
-their work as specs and execute them through the same code path
-(:meth:`RunSpec.forecaster` / :func:`repro.analysis.experiment.run`).
+:class:`ExperimentBudget` to train it.  The CLI, the paper benches and
+the examples describe their work as specs and execute every one through
+:meth:`RunSpec.forecaster`, the :class:`~repro.api.Forecaster` path.
+The budget alone round-trips through ``to_dict``/``from_dict``, because
+checkpoint manifests embed it.
 """
 
 from __future__ import annotations
@@ -75,19 +74,10 @@ class DataSpec:
             self.city, rows=self.rows, cols=self.cols, num_days=self.num_days, seed=self.seed
         )
 
-    def to_dict(self) -> dict:
-        """JSON-safe payload for run descriptions."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DataSpec":
-        """Rebuild a data spec from its payload."""
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One experiment: data + model + budget, all JSON-serializable.
+    """One experiment: data + model + budget.
 
     ``model`` is a registry name (see :data:`repro.api.REGISTRY`);
     ``hidden`` is the capacity knob every builder understands (ST-HSL's
@@ -95,8 +85,8 @@ class RunSpec:
     builder kwargs (e.g. ``num_hyperedges`` for ST-HSL).  Example::
 
         spec = RunSpec(model="DeepCrime", data=DataSpec(rows=6, cols=6))
-        forecaster = spec.forecaster().fit(spec.data.load())
-        assert RunSpec.from_dict(spec.to_dict()) == spec
+        dataset = spec.data.load()
+        result = spec.forecaster().fit(dataset).evaluate(dataset)
     """
 
     model: str = "ST-HSL"
@@ -120,28 +110,4 @@ class RunSpec:
 
         return Forecaster(
             self.model, budget=self.budget, hidden=self.hidden, overrides=self.overrides
-        )
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-safe payload: ship a run to a worker or store it beside results."""
-        return {
-            "model": self.model,
-            "data": self.data.to_dict(),
-            "budget": self.budget.to_dict(),
-            "hidden": self.hidden,
-            "overrides": dict(self.overrides),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunSpec":
-        """Rebuild a run spec from its payload (inverse of :meth:`to_dict`)."""
-        return cls(
-            model=payload.get("model", "ST-HSL"),
-            data=DataSpec.from_dict(payload.get("data", {})),
-            budget=ExperimentBudget.from_dict(payload.get("budget", {})),
-            hidden=int(payload.get("hidden", 8)),
-            overrides=dict(payload.get("overrides", {})),
         )

@@ -1,16 +1,14 @@
 """``repro.baselines`` — the fifteen comparison models of Table III.
 
-Model construction now lives in the :data:`repro.api.REGISTRY` model
-registry; ``build_baseline`` remains as a thin deprecation shim that
-delegates to it.  Names match the paper's Table III rows
-(``BASELINE_NAMES`` keeps the row order).
+This package holds the model classes; build them by name through the
+:data:`repro.api.REGISTRY` model registry, whose specs also carry their
+capabilities (``requires_training``, ``supports_batching``).  Names
+match the paper's Table III rows (``BASELINE_NAMES`` keeps the row
+order).
 """
 
 from __future__ import annotations
 
-import warnings
-
-from ..data.datasets import CrimeDataset
 from .agcrn import AGCRN
 from .arima import ARIMA
 from .base import GatedTemporalConv, GraphConv, StatisticalBaseline
@@ -50,7 +48,6 @@ __all__ = [
     "GraphConv",
     "GatedTemporalConv",
     "BASELINE_NAMES",
-    "build_baseline",
 ]
 
 # Table III row order.
@@ -71,26 +68,3 @@ BASELINE_NAMES: tuple[str, ...] = (
     "STSHN",
     "DMSTGCN",
 )
-
-
-def build_baseline(
-    name: str,
-    dataset: CrimeDataset,
-    window: int,
-    hidden: int = 16,
-    seed: int = 0,
-):
-    """Instantiate a Table III baseline for ``dataset``'s geometry.
-
-    .. deprecated::
-        Delegates to ``repro.api.REGISTRY.build``; resolve names through
-        the registry directly (it also knows capabilities and ST-HSL).
-    """
-    warnings.warn(
-        "build_baseline is deprecated; use repro.api.REGISTRY.build instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import REGISTRY  # imported lazily to avoid a package cycle
-
-    return REGISTRY.build(name, dataset=dataset, window=window, hidden=hidden, seed=seed)

@@ -23,13 +23,11 @@ class StatisticalBaseline(ForecastModel):
 
     Subclasses implement :meth:`predict_series` for a single univariate
     history; :meth:`predict` maps it over every (region, category) pair.
-    ``requires_training`` tells the benchmark harness to skip the
-    gradient loop.  These models own no parameters at all — the optimiser
-    and trainer tolerate an empty parameter list, so no dummy-parameter
-    workaround is needed.
+    Their registry specs say ``requires_training=False``, so
+    :meth:`repro.api.Forecaster.fit` skips the gradient loop.  These
+    models own no parameters at all — the optimiser and trainer tolerate
+    an empty parameter list, so no dummy-parameter workaround is needed.
     """
-
-    requires_training = False
 
     def predict_series(self, series: np.ndarray) -> float:  # pragma: no cover - abstract
         raise NotImplementedError

@@ -32,11 +32,9 @@ import time
 
 import numpy as np
 
-from .analysis.experiment import run as run_experiment
 from .analysis.visualization import format_table
 from .api import REGISTRY, DataSpec, ExperimentBudget, Forecaster, RunSpec
 from .data import SyntheticCrimeGenerator, load_city, write_events_csv
-from .training import WindowDataset
 from .training.forecast import evaluate_horizon
 
 __all__ = ["main", "build_parser"]
@@ -136,11 +134,10 @@ def _cmd_evaluate(args) -> int:
 def _cmd_compare(args) -> int:
     dataset = _data_spec(args).load()
     names = list(dict.fromkeys(list(args.models) + ["ST-HSL"]))
-    scores = {}
-    for name in names:
-        spec = _run_spec(args, name)
-        run = run_experiment(spec, dataset=dataset)
-        scores[name] = run.evaluation.overall()
+    scores = {
+        name: _run_spec(args, name).forecaster().fit(dataset).evaluate(dataset).overall()
+        for name in names
+    }
     ranked = sorted(scores.items(), key=lambda kv: kv[1]["mae"])
     rows = [[i + 1, n, s["mae"], s["mape"]] for i, (n, s) in enumerate(ranked)]
     print(format_table(["#", "model", "MAE", "MAPE"], rows))
@@ -150,9 +147,7 @@ def _cmd_compare(args) -> int:
 def _cmd_forecast(args) -> int:
     forecaster = Forecaster.load(args.checkpoint)
     dataset = _data_spec(args).load()
-    forecaster.check_compatible(dataset)
-    windows = WindowDataset(dataset, window=forecaster.window)
-    per_step = evaluate_horizon(forecaster.model, windows, horizon=args.horizon)
+    per_step = evaluate_horizon(forecaster, dataset, horizon=args.horizon)
     rows = [[f"T+{k}", m["mae"], m["mape"]] for k, m in per_step.items()]
     print(format_table(["step", "MAE", "MAPE"], rows))
     return 0

@@ -9,7 +9,7 @@ boolean switch here (see :mod:`repro.analysis.ablation`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["STHSLConfig"]
 
@@ -85,7 +85,3 @@ class STHSLConfig:
     @property
     def num_regions(self) -> int:
         return self.rows * self.cols
-
-    def with_overrides(self, **kwargs) -> "STHSLConfig":
-        """Return a modified copy (convenience for sweeps and ablations)."""
-        return replace(self, **kwargs)

@@ -1,7 +1,7 @@
 """``repro.training`` — trainer, metrics, windowing and evaluation."""
 
-from .crossval import RollingFold, rolling_origin_evaluate, rolling_origin_folds
-from .evaluation import EvaluationResult, evaluate_model
+from .crossval import RollingFold, rolling_origin_folds
+from .evaluation import EvaluationResult
 from .forecast import evaluate_horizon, recursive_forecast
 from .interface import ForecastModel
 from .metrics import mae, mape, masked_mae, masked_mape, metric_frame, rmse
@@ -17,12 +17,10 @@ __all__ = [
     "WindowSample",
     "WindowBatch",
     "EvaluationResult",
-    "evaluate_model",
     "recursive_forecast",
     "evaluate_horizon",
     "RollingFold",
     "rolling_origin_folds",
-    "rolling_origin_evaluate",
     "mae",
     "mape",
     "masked_mae",

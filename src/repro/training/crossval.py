@@ -1,25 +1,29 @@
-"""Rolling-origin (time-series) cross-validation.
+"""Rolling-origin (time-series) cross-validation folds.
 
 The paper uses a single 7:1 temporal split; rolling-origin evaluation is
 the standard stronger protocol for time series: train on an expanding
 prefix, test on the next block, roll forward.  Useful for checking that
-Table III orderings are not artefacts of one particular split.
+Table III orderings are not artefacts of one particular split.  Each
+fold carries a re-split dataset, so evaluating a model on it is the
+ordinary estimator path::
+
+    results = [
+        Forecaster(name, budget=budget).fit(fold.dataset).evaluate(fold.dataset)
+        for fold in rolling_origin_folds(dataset, num_folds=3, test_block=10)
+    ]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from ..data.datasets import CrimeDataset
 from ..data.splits import TemporalSplit
-from .evaluation import EvaluationResult, evaluate_model
-from .trainer import Trainer
-from .windows import WindowDataset
 
-__all__ = ["RollingFold", "rolling_origin_folds", "rolling_origin_evaluate"]
+__all__ = ["RollingFold", "rolling_origin_folds"]
 
 
 @dataclass(frozen=True)
@@ -74,30 +78,3 @@ def rolling_origin_folds(
             sigma=float(split.slice_train(trimmed).std()) or 1.0,
         )
         yield RollingFold(index=index, dataset=fold_dataset)
-
-
-def rolling_origin_evaluate(
-    model_factory: Callable[[CrimeDataset], object],
-    dataset: CrimeDataset,
-    window: int,
-    num_folds: int = 3,
-    test_block: int = 10,
-    epochs: int = 2,
-    train_limit: int | None = 16,
-    lr: float = 1e-3,
-    seed: int = 0,
-) -> list[EvaluationResult]:
-    """Train a fresh model per fold and return each fold's evaluation.
-
-    ``model_factory`` receives the fold's dataset (so it can read the
-    geometry) and returns an untrained model.
-    """
-    results: list[EvaluationResult] = []
-    for fold in rolling_origin_folds(dataset, num_folds, test_block):
-        model = model_factory(fold.dataset)
-        windows = WindowDataset(fold.dataset, window=window)
-        if getattr(model, "requires_training", True):
-            trainer = Trainer(model, lr=lr, seed=seed)
-            trainer.fit(windows, epochs=epochs, train_limit=train_limit)
-        results.append(evaluate_model(model, windows))
-    return results

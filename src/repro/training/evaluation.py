@@ -1,6 +1,8 @@
 """Test-set evaluation: per-category, per-region and per-density metrics.
 
-Produces everything the paper's evaluation section consumes:
+:meth:`repro.api.Forecaster.evaluate` returns an :class:`EvaluationResult`
+for one split; it produces everything the paper's evaluation section
+consumes:
 
 * Table III — per-category masked MAE/MAPE averaged over test days;
 * Figure 4 — per-region MAPE maps;
@@ -15,9 +17,8 @@ import numpy as np
 
 from ..data.density import SPARSE_BINS, group_regions_by_density
 from .metrics import masked_mae, masked_mape
-from .windows import WindowDataset
 
-__all__ = ["EvaluationResult", "evaluate_model"]
+__all__ = ["EvaluationResult"]
 
 
 @dataclass
@@ -86,23 +87,3 @@ class EvaluationResult:
                 }
             out[interval] = cohort
         return out
-
-
-def evaluate_model(model, windows: WindowDataset, split: str = "test") -> EvaluationResult:
-    """Run ``model`` over every day of ``split`` and stack the outputs.
-
-    Predictions are denormalised to case counts before metric
-    computation, matching how the paper reports MAE/MAPE.
-    """
-    predictions: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    for sample in windows.samples(split):
-        predictions.append(windows.denormalize(model.predict(sample.window)))
-        targets.append(sample.raw_target)
-    if not predictions:
-        raise ValueError(f"split {split!r} has no samples")
-    return EvaluationResult(
-        predictions=np.stack(predictions),
-        targets=np.stack(targets),
-        categories=windows.dataset.categories,
-    )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..data.datasets import CrimeDataset
+from .metrics import masked_mae, masked_mape
 from .windows import WindowDataset
 
 __all__ = ["recursive_forecast", "evaluate_horizon"]
@@ -36,32 +38,36 @@ def recursive_forecast(model, window: np.ndarray, horizon: int) -> np.ndarray:
 
 
 def evaluate_horizon(
-    model,
-    windows: WindowDataset,
+    forecaster,
+    dataset: CrimeDataset,
     horizon: int,
     split: str = "test",
 ) -> dict[int, dict[str, float]]:
-    """Masked MAE/MAPE per forecast step over a split.
+    """Masked MAE/MAPE per forecast step of a fitted forecaster over a split.
 
-    Only days with ``horizon`` subsequent ground-truth days inside the
-    split contribute, so every step is evaluated on the same anchors.
+    ``forecaster`` is a fitted :class:`~repro.api.Forecaster`.  As in its
+    ``predict``, inputs are normalised and outputs denormalised with the
+    forecaster's own statistics and window, so step 1 equals
+    ``forecaster.evaluate(dataset, split).overall()`` whatever history
+    ``dataset`` holds.  Only days with ``horizon`` subsequent ground-truth
+    days inside the split contribute, so every step is evaluated on the
+    same anchors.
     """
-    from .metrics import masked_mae, masked_mape  # local import avoids cycle
-
-    dataset = windows.dataset
-    days = list(windows._days(split))
+    forecaster.check_compatible(dataset)
+    days = list(WindowDataset(dataset, window=forecaster.window)._days(split))
     anchors = [d for d in days if d + horizon - 1 <= days[-1]]
     if not anchors:
         raise ValueError(f"split {split!r} too short for horizon {horizon}")
 
+    mu, sigma = forecaster.mu, forecaster.sigma
+    normalized = (dataset.tensor - mu) / sigma
     per_step_preds: dict[int, list[np.ndarray]] = {k: [] for k in range(horizon)}
     per_step_targets: dict[int, list[np.ndarray]] = {k: [] for k in range(horizon)}
-    normalized = dataset.normalized()
     for day in anchors:
-        window = normalized[:, day - windows.window : day, :]
-        rolled = recursive_forecast(model, window, horizon)
+        window = normalized[:, day - forecaster.window : day, :]
+        rolled = recursive_forecast(forecaster.model, window, horizon)
         for k in range(horizon):
-            per_step_preds[k].append(windows.denormalize(rolled[k]))
+            per_step_preds[k].append(np.maximum(rolled[k] * sigma + mu, 0.0))
             per_step_targets[k].append(dataset.tensor[:, day + k, :])
 
     out: dict[int, dict[str, float]] = {}

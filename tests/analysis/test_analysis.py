@@ -8,74 +8,70 @@ from repro.analysis import (
     EFFICIENCY_MODELS,
     MULTIVIEW_VARIANTS,
     SSL_VARIANTS,
-    ExperimentBudget,
     HyperedgeCaseStudy,
     ascii_heatmap,
-    default_config,
     format_density_histogram,
     format_table,
-    make_sthsl,
     time_epoch,
     top_regions_per_hyperedge,
-    train_and_evaluate,
-    variant_config,
 )
-from repro.baselines import HistoricalAverage
+from repro.api import REGISTRY, ExperimentBudget, Forecaster
 from repro.data import density_histogram, load_city
 
 BUDGET = ExperimentBudget(window=8, epochs=1, train_limit=4, seed=0)
 DATASET = load_city("nyc", rows=4, cols=4, num_days=60, seed=0)
 
 
+def _sthsl(**overrides):
+    """ST-HSL as ``Forecaster("ST-HSL", budget=BUDGET, overrides=...)`` builds it."""
+    return REGISTRY.build(
+        "ST-HSL", dataset=DATASET, window=BUDGET.window, hidden=8, seed=BUDGET.seed, **overrides
+    )
+
+
 class TestVariantConfigs:
     def test_all_paper_variants_resolve(self):
-        for name in list(SSL_VARIANTS) + list(MULTIVIEW_VARIANTS):
-            config = variant_config(name, DATASET, BUDGET)
-            assert config.num_regions == 16
+        for variants in (SSL_VARIANTS, MULTIVIEW_VARIANTS):
+            for overrides in variants.values():
+                assert _sthsl(**overrides).config.num_regions == 16
 
     def test_wo_hyper_disables_everything_global(self):
-        config = variant_config("w/o Hyper", DATASET, BUDGET)
+        config = _sthsl(**SSL_VARIANTS["w/o Hyper"]).config
         assert not config.use_hypergraph
         assert not config.use_infomax
         assert not config.use_contrastive
 
     def test_wo_global_keeps_hypergraph(self):
-        config = variant_config("w/o Global", DATASET, BUDGET)
+        config = _sthsl(**SSL_VARIANTS["w/o Global"]).config
         assert config.use_hypergraph and not config.use_global
 
     def test_fusion_variant(self):
-        config = variant_config("Fusion w/o ConL", DATASET, BUDGET)
+        config = _sthsl(**SSL_VARIANTS["Fusion w/o ConL"]).config
         assert config.fusion and not config.use_contrastive
-
-    def test_unknown_variant_raises(self):
-        with pytest.raises(KeyError):
-            variant_config("w/o Everything", DATASET, BUDGET)
 
     def test_every_variant_builds_and_runs(self):
         window = np.random.default_rng(0).standard_normal((16, 8, 4))
-        from repro.core import STHSL
-
-        for name in SSL_VARIANTS:
-            model = STHSL(variant_config(name, DATASET, BUDGET), seed=0)
-            assert model.predict(window).shape == (16, 4)
+        for overrides in SSL_VARIANTS.values():
+            assert _sthsl(**overrides).predict(window).shape == (16, 4)
 
 
 class TestExperimentHarness:
-    def test_train_and_evaluate_statistical(self):
-        run = train_and_evaluate(HistoricalAverage(), DATASET, BUDGET)
-        assert run.epoch_seconds == []  # no gradient training
-        assert set(run.evaluation.per_category()) == set(DATASET.categories)
+    def test_statistical_fit_skips_training(self):
+        forecaster = Forecaster("HA", budget=BUDGET).fit(DATASET)
+        assert forecaster.training_["epochs_run"] == 0  # no gradient training
+        assert set(forecaster.evaluate(DATASET).per_category()) == set(DATASET.categories)
 
-    def test_train_and_evaluate_sthsl(self):
-        model = make_sthsl(DATASET, BUDGET)
-        run = train_and_evaluate(model, DATASET, BUDGET)
-        assert len(run.epoch_seconds) == BUDGET.epochs
-        assert np.isfinite(run.best_val_mae)
+    def test_sthsl_trains_under_the_budget(self):
+        forecaster = Forecaster("ST-HSL", budget=BUDGET).fit(DATASET)
+        assert forecaster.training_["epochs_run"] == BUDGET.epochs
+        assert np.isfinite(forecaster.training_["best_val_mae"])
 
-    def test_default_config_overrides(self):
-        config = default_config(DATASET, BUDGET, dim=4)
-        assert config.dim == 4
+    def test_overrides_reach_the_sthsl_config(self):
+        """The bench-scale defaults at hidden 8, and an override on top."""
+        config = _sthsl().config
+        assert (config.dim, config.num_hyperedges, config.num_global_temporal_layers) == (8, 32, 2)
         assert config.window == BUDGET.window
+        assert _sthsl(dim=4).config.dim == 4
 
 
 class TestInterpretation:
@@ -113,7 +109,7 @@ class TestInterpretation:
         assert mate > rand
 
     def test_case_study_from_model(self):
-        model = make_sthsl(DATASET, BUDGET)
+        model = _sthsl()
         window = DATASET.normalized()[:, :8, :]
         study = HyperedgeCaseStudy.from_model(model, window, DATASET.tensor, k=3)
         assert study.top_regions.shape[2] == 3
@@ -124,7 +120,7 @@ class TestInterpretation:
 
 class TestEfficiency:
     def test_time_epoch_positive(self):
-        model = make_sthsl(DATASET, BUDGET)
+        model = _sthsl()
         assert time_epoch(model, DATASET, BUDGET) > 0
 
     def test_table5_model_list(self):

@@ -307,28 +307,31 @@ class TestEstimator:
     def test_evaluate_uses_stored_normalization(self):
         """evaluate routes through predict, so a loaded artifact's stored
         mu/sigma govern input scaling — consistent with predict() — and on
-        the fit dataset the classic evaluation protocol is reproduced."""
-        from repro.training import WindowDataset, evaluate_model
+        the fit dataset the classic per-sample protocol is reproduced."""
+        from repro.training import WindowDataset
 
         forecaster = _fitted()
         ours = forecaster.evaluate(DATASET)
-        classic = evaluate_model(forecaster.model, WindowDataset(DATASET, BUDGET.window))
-        assert np.allclose(ours.predictions, classic.predictions)
-        assert np.array_equal(ours.targets, classic.targets)
+        windows = WindowDataset(DATASET, BUDGET.window)
+        samples = list(windows.samples("test"))
+        per_sample = [windows.denormalize(forecaster.model.predict(s.window)) for s in samples]
+        assert np.allclose(ours.predictions, np.stack(per_sample))
+        assert np.array_equal(ours.targets, np.stack([s.raw_target for s in samples]))
+
+    def test_zero_epoch_fit_records_no_best_epoch(self, tmp_path):
+        """A fit that runs no epoch records None, not the trainer's
+        sentinels (-1, inf), so the saved manifest stays strict JSON."""
+        budget = ExperimentBudget(window=8, epochs=0, train_limit=4, seed=0)
+        forecaster = Forecaster("ST-HSL", budget=budget, hidden=6).fit(DATASET)
+        assert forecaster.training_["epochs_run"] == 0
+        assert forecaster.training_["best_epoch"] is None
+        assert forecaster.training_["best_val_mae"] is None
+        path = tmp_path / "e0.npz"
+        forecaster.save(path)
+        json.dumps(read_artifact(path).manifest, allow_nan=False)
 
 
 class TestRunSpec:
-    def test_json_round_trip(self):
-        spec = RunSpec(
-            model="ST-HSL",
-            data=DataSpec(city="chicago", rows=5, cols=5, num_days=80, seed=3),
-            budget=ExperimentBudget(window=9, epochs=2, train_limit=6, patience=1, seed=3),
-            hidden=4,
-            overrides={"num_hyperedges": 16},
-        )
-        payload = json.loads(json.dumps(spec.to_dict()))
-        assert RunSpec.from_dict(payload) == spec
-
     def test_with_model_keeps_data_and_budget(self):
         base = RunSpec(data=DataSpec(rows=4, cols=4, num_days=60), budget=BUDGET)
         other = base.with_model("STGCN")

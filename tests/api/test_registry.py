@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import REGISTRY, ModelGeometry, ModelRegistry
-from repro.baselines import BASELINE_NAMES, build_baseline
+from repro.baselines import BASELINE_NAMES
 from repro.data import load_city
 
 GEOMETRY = ModelGeometry(rows=4, cols=4, num_categories=4)
@@ -114,14 +114,3 @@ class TestRegistration:
     def test_build_requires_dataset_or_geometry(self):
         with pytest.raises(ValueError, match="dataset or a geometry"):
             REGISTRY.build("ST-HSL", window=WINDOW)
-
-
-class TestDeprecationShim:
-    def test_build_baseline_delegates_to_registry(self):
-        dataset = load_city("nyc", rows=4, cols=4, num_days=60, seed=0)
-        with pytest.warns(DeprecationWarning):
-            legacy = build_baseline("STGCN", dataset, window=WINDOW, hidden=8, seed=0)
-        fresh = REGISTRY.build("STGCN", dataset=dataset, window=WINDOW, hidden=8, seed=0)
-        assert set(legacy.state_dict()) == set(fresh.state_dict())
-        window = np.random.default_rng(1).standard_normal((16, WINDOW, 4))
-        assert np.allclose(legacy.predict(window), fresh.predict(window))

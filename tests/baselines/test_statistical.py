@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.api import REGISTRY
 from repro.baselines import ARIMA, SVR, HistoricalAverage
 from repro.baselines.arima import fit_ar_coefficients, hannan_rissanen
 
@@ -65,7 +66,7 @@ class TestARIMA:
         model = ARIMA()
         window = np.zeros((2, 10, 1))
         assert float(model.training_loss(window, np.zeros((2, 1))).data) == 0.0
-        assert model.requires_training is False
+        assert REGISTRY.spec("ARIMA").requires_training is False
 
 
 class TestSVR:

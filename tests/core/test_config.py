@@ -38,8 +38,3 @@ class TestValidation:
     def test_no_branches_rejected(self):
         with pytest.raises(ValueError):
             _cfg(use_global=False, use_local=False)
-
-    def test_with_overrides(self):
-        cfg = _cfg().with_overrides(dim=8, use_infomax=False)
-        assert cfg.dim == 8 and not cfg.use_infomax
-        assert cfg.rows == 4  # untouched fields preserved

@@ -2,8 +2,8 @@
 
 The examples are the first code a reader copies, so they must (a) run
 end to end at a reduced scale and (b) never touch deprecated surface —
-``warnings.simplefilter("error", DeprecationWarning)`` turns any use of
-shims like ``build_baseline`` into a hard failure.
+``warnings.simplefilter("error", DeprecationWarning)`` turns any
+``DeprecationWarning`` an example triggers into a hard failure.
 """
 
 import importlib.util
@@ -48,3 +48,21 @@ def test_real_data_ingestion_runs_clean(capsys):
     assert "portal export" in out
     assert "test metrics (masked)" in out
     assert "MAE=" in out
+
+
+# Output each analysis example must reach when smoked at 4x4, 60 days,
+# window 8 and one epoch of four windows.
+ANALYSIS_EXAMPLES = {
+    "compare_baselines": ("ranking (overall masked MAE", "best model:"),
+    "significance_testing": ("paired t-test", "per-category paired t-test p-values"),
+    "sparse_region_analysis": ("trained: no self-supervision", "by region density cohort"),
+    "hyperedge_interpretation": ("trained ST-HSL", "crime-pattern correlation"),
+}
+
+
+@pytest.mark.parametrize("name", ANALYSIS_EXAMPLES)
+def test_analysis_example_runs_clean(name, capsys):
+    load_example(name).main(rows=4, cols=4, num_days=60, window=8, epochs=1, train_limit=4)
+    out = capsys.readouterr().out
+    for text in ANALYSIS_EXAMPLES[name]:
+        assert text in out

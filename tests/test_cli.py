@@ -73,6 +73,15 @@ class TestDriveClients:
 SMALL = ["--rows", "4", "--cols", "4", "--days", "60"]
 
 
+def _table_row(out: str, label: str) -> list[str]:
+    """The value cells of the printed table row labelled ``label``."""
+    for line in out.splitlines():
+        cells = line.split()
+        if cells and cells[0] == label:
+            return cells[1:]
+    raise AssertionError(f"no {label!r} row in:\n{out}")
+
+
 class TestEndToEnd:
     def test_generate_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "events.csv"
@@ -115,6 +124,22 @@ class TestEndToEnd:
         assert code == 0
         forecast_out = capsys.readouterr().out
         assert "T+3" in forecast_out
+
+    def test_forecast_step_one_matches_evaluate_on_a_longer_history(self, tmp_path, capsys):
+        """forecast scales inputs with the artifact's statistics, as
+        evaluate does: on a history longer than the training one (other
+        mu/sigma), its T+1 row equals evaluate's overall row."""
+        ckpt = tmp_path / "model.npz"
+        assert main(
+            ["train", *SMALL, "--window", "8", "--epochs", "1", "--train-limit", "4",
+             "--checkpoint", str(ckpt)]
+        ) == 0
+        longer = ["--rows", "4", "--cols", "4", "--days", "90"]
+        capsys.readouterr()
+        assert main(["evaluate", *longer, "--checkpoint", str(ckpt)]) == 0
+        overall = _table_row(capsys.readouterr().out, "(overall)")
+        assert main(["forecast", *longer, "--checkpoint", str(ckpt), "--horizon", "1"]) == 0
+        assert _table_row(capsys.readouterr().out, "T+1") == overall
 
     def test_train_baseline_model_artifact(self, tmp_path, capsys):
         """Any registered model trains and round-trips through the CLI."""

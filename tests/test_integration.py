@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.analysis import ExperimentBudget, HyperedgeCaseStudy, train_and_evaluate
-from repro.api import REGISTRY
-from repro.baselines import HistoricalAverage
+from repro.analysis import HyperedgeCaseStudy
+from repro.api import ExperimentBudget, Forecaster
 from repro.core import STHSL, STHSLConfig
 from repro.data import (
     NYC_CONFIG,
@@ -20,7 +19,7 @@ from repro.data import (
     read_events_csv,
     write_events_csv,
 )
-from repro.training import Trainer, WindowDataset, evaluate_model
+from repro.training import Trainer, WindowDataset
 
 
 class TestFullPipeline:
@@ -46,23 +45,21 @@ class TestFullPipeline:
         dataset = load_city("nyc", rows=4, cols=4, num_days=60, seed=0)
         assert np.array_equal(dataset.tensor, tensor)
 
-        # 4. Train a small ST-HSL and verify the loop learns.
-        model_config = STHSLConfig(
-            rows=4, cols=4, num_categories=4, window=8, dim=4,
-            num_hyperedges=8, num_global_temporal_layers=1,
-        )
-        model = STHSL(model_config, seed=0)
-        windows = WindowDataset(dataset, window=8)
-        trainer = Trainer(model, lr=2e-3, seed=0)
-        result = trainer.fit(windows, epochs=2, train_limit=10)
-        assert len(result.history) == 2
+        # 4. Train a small ST-HSL and verify the loop runs.
+        forecaster = Forecaster(
+            "ST-HSL",
+            budget=ExperimentBudget(window=8, epochs=2, train_limit=10, lr=2e-3, seed=0),
+            hidden=4,
+            overrides={"num_hyperedges": 8, "num_global_temporal_layers": 1},
+        ).fit(dataset)
+        assert forecaster.training_["epochs_run"] == 2
 
         # 5. Evaluate and interpret.
-        evaluation = evaluate_model(model, windows)
+        evaluation = forecaster.evaluate(dataset)
         assert np.isfinite(evaluation.overall()["mae"])
-        sample = next(windows.samples("test"))
-        study = HyperedgeCaseStudy.from_model(model, sample.window, dataset.tensor)
-        assert study.top_regions.shape[1] == model_config.num_hyperedges
+        sample = next(WindowDataset(dataset, window=8).samples("test"))
+        study = HyperedgeCaseStudy.from_model(forecaster.model, sample.window, dataset.tensor)
+        assert study.top_regions.shape[1] == 8
 
     def test_checkpoint_resume_training(self, tmp_path):
         """Training can stop, checkpoint, reload and continue."""
@@ -87,20 +84,17 @@ class TestFullPipeline:
         """The experiment harness is fully deterministic given a seed."""
         budget = ExperimentBudget(window=8, epochs=1, train_limit=5, seed=7)
         dataset = load_city("chicago", rows=4, cols=4, num_days=60, seed=1)
-        runs = []
-        for _ in range(2):
-            model = REGISTRY.build("STGCN", dataset=dataset, window=8, hidden=8, seed=7)
-            run = train_and_evaluate(model, dataset, budget)
-            runs.append(run.evaluation.overall()["mae"])
+        runs = [
+            Forecaster("STGCN", budget=budget).fit(dataset).evaluate(dataset).overall()["mae"]
+            for _ in range(2)
+        ]
         assert runs[0] == pytest.approx(runs[1], rel=1e-12)
 
     def test_statistical_and_deep_models_share_evaluation(self):
         """Both model families produce comparable evaluation artefacts."""
         budget = ExperimentBudget(window=8, epochs=1, train_limit=5, seed=0)
         dataset = load_city("nyc", rows=4, cols=4, num_days=60, seed=0)
-        ha = train_and_evaluate(HistoricalAverage(), dataset, budget)
-        deep = train_and_evaluate(
-            REGISTRY.build("DeepCrime", dataset=dataset, window=8, hidden=8, seed=0), dataset, budget
-        )
-        assert ha.evaluation.predictions.shape == deep.evaluation.predictions.shape
-        assert set(ha.evaluation.per_category()) == set(deep.evaluation.per_category())
+        ha = Forecaster("HA", budget=budget).fit(dataset).evaluate(dataset)
+        deep = Forecaster("DeepCrime", budget=budget).fit(dataset).evaluate(dataset)
+        assert ha.predictions.shape == deep.predictions.shape
+        assert set(ha.per_category()) == set(deep.per_category())

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines import HistoricalAverage
+from repro.api import ExperimentBudget, Forecaster
 from repro.data import load_city
-from repro.training import rolling_origin_evaluate, rolling_origin_folds
+from repro.training import rolling_origin_folds
 
 DATASET = load_city("nyc", rows=4, cols=4, num_days=120, seed=0)
 
@@ -46,27 +46,15 @@ class TestFolds:
             list(rolling_origin_folds(DATASET, num_folds=0, test_block=10))
 
 
-class TestRollingEvaluate:
+class TestFoldEvaluation:
     def test_returns_one_result_per_fold(self):
-        results = rolling_origin_evaluate(
-            lambda ds: HistoricalAverage(),
-            DATASET,
-            window=8,
-            num_folds=3,
-            test_block=10,
-        )
+        """A fold evaluates through the estimator, one result per fold."""
+        budget = ExperimentBudget(window=8)
+        results = [
+            Forecaster("HA", budget=budget).fit(fold.dataset).evaluate(fold.dataset)
+            for fold in rolling_origin_folds(DATASET, num_folds=3, test_block=10)
+        ]
         assert len(results) == 3
         for result in results:
             assert result.predictions.shape[0] == 10
             assert np.isfinite(result.overall()["mae"])
-
-    def test_factory_sees_fold_dataset(self):
-        seen = []
-
-        def factory(ds):
-            seen.append(ds.num_days)
-            return HistoricalAverage()
-
-        rolling_origin_evaluate(factory, DATASET, window=8, num_folds=2, test_block=10)
-        assert len(seen) == 2
-        assert seen[0] < seen[1]  # expanding folds

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.api import ExperimentBudget, Forecaster
 from repro.baselines import HistoricalAverage
 from repro.data import load_city
-from repro.training import WindowDataset, evaluate_horizon, recursive_forecast
+from repro.training import evaluate_horizon, recursive_forecast
 
 DATASET = load_city("nyc", rows=4, cols=4, num_days=100, seed=0)
+HA = Forecaster("HA", budget=ExperimentBudget(window=10)).fit(DATASET)
 
 
 class _LastValue:
@@ -54,22 +56,30 @@ class TestRecursiveForecast:
 
 class TestEvaluateHorizon:
     def test_keys_are_steps(self):
-        windows = WindowDataset(DATASET, window=10)
-        result = evaluate_horizon(HistoricalAverage(), windows, horizon=3)
+        result = evaluate_horizon(HA, DATASET, horizon=3)
         assert list(result) == [1, 2, 3]
         for metrics in result.values():
             assert np.isfinite(metrics["mae"])
 
     def test_too_long_horizon_raises(self):
-        windows = WindowDataset(DATASET, window=10)
         with pytest.raises(ValueError):
-            evaluate_horizon(HistoricalAverage(), windows, horizon=10_000)
+            evaluate_horizon(HA, DATASET, horizon=10_000)
 
     def test_error_grows_or_holds_with_horizon(self):
         """For a persistence-style model on mean-reverting data, step-1
         error should not exceed distant-step error by a large factor —
         mostly a smoke check that steps are aligned correctly."""
-        windows = WindowDataset(DATASET, window=10)
-        result = evaluate_horizon(HistoricalAverage(), windows, horizon=4)
+        result = evaluate_horizon(HA, DATASET, horizon=4)
         maes = [result[k]["mae"] for k in (1, 2, 3, 4)]
         assert max(maes) < 10 * min(maes)
+
+    def test_step_one_matches_evaluate_on_a_longer_history(self):
+        """Inputs are scaled with the forecaster's statistics, not the
+        evaluation dataset's: on a longer history (other mu/sigma) the
+        T+1 metrics still equal ``Forecaster.evaluate``'s."""
+        budget = ExperimentBudget(window=10, epochs=1, train_limit=4, seed=0)
+        forecaster = Forecaster("ST-HSL", budget=budget, hidden=4).fit(DATASET)
+        longer = load_city("nyc", rows=4, cols=4, num_days=130, seed=0)
+        assert (longer.mu, longer.sigma) != (forecaster.mu, forecaster.sigma)
+        step_one = evaluate_horizon(forecaster, longer, horizon=1)[1]
+        assert step_one == forecaster.evaluate(longer).overall()

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import ExperimentBudget, Forecaster
 from repro.baselines import HistoricalAverage, SVR
 from repro.data import load_city
-from repro.training import Trainer, WindowDataset, evaluate_model
+from repro.training import Trainer, WindowDataset
 
 DATASET = load_city("nyc", rows=4, cols=4, num_days=100, seed=0)
 
@@ -103,35 +104,35 @@ class TestTrainer:
         assert trainer.timed_epoch(windows, train_limit=5) > 0
 
 
+def _ha_evaluation():
+    """Test-split evaluation of a fitted historical-average forecaster."""
+    return Forecaster("HA", budget=ExperimentBudget(window=10)).fit(DATASET).evaluate(DATASET)
+
+
 class TestEvaluation:
     def test_result_shapes(self):
-        windows = WindowDataset(DATASET, window=10)
-        result = evaluate_model(HistoricalAverage(), windows)
-        num_test = windows.num_samples("test")
+        result = _ha_evaluation()
+        num_test = WindowDataset(DATASET, window=10).num_samples("test")
         assert result.predictions.shape == (num_test, 16, 4)
         assert result.targets.shape == result.predictions.shape
 
     def test_per_category_keys(self):
-        windows = WindowDataset(DATASET, window=10)
-        result = evaluate_model(HistoricalAverage(), windows)
+        result = _ha_evaluation()
         assert set(result.per_category()) == set(DATASET.categories)
 
     def test_per_region_mape_shape(self):
-        windows = WindowDataset(DATASET, window=10)
-        result = evaluate_model(HistoricalAverage(), windows)
+        result = _ha_evaluation()
         assert result.per_region_mape().shape == (16,)
 
     def test_by_density_groups(self):
-        windows = WindowDataset(DATASET, window=10)
-        result = evaluate_model(HistoricalAverage(), windows)
+        result = _ha_evaluation()
         by_density = result.by_density(DATASET.tensor)
         assert set(by_density) == {(0.0, 0.25), (0.25, 0.5)}
 
     def test_historical_average_is_reasonable(self):
         """HA's masked MAE should be within a sane range on synthetic data
         (sanity anchor for the whole evaluation chain)."""
-        windows = WindowDataset(DATASET, window=10)
-        result = evaluate_model(HistoricalAverage(), windows)
+        result = _ha_evaluation()
         overall = result.overall()
         assert 0.1 < overall["mae"] < 5.0
         assert 0.1 < overall["mape"] < 1.5
