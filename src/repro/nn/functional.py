@@ -4,7 +4,10 @@ These are composites of the primitive ops in :mod:`repro.nn.tensor`, so
 their gradients come for free from the autograd engine.  The convolution
 primitives are re-exported from :mod:`repro.nn.ops` for
 ``torch.nn.functional`` call-site parity (``F.conv2d(...)``); they
-run the single-gemm kernel in :mod:`repro.nn.kernels`.
+run the tiled im2col kernel in :mod:`repro.nn.kernels`, which fills and
+contracts the batch-folded patch matrix one
+:data:`~repro.nn.kernels.TILE_BYTES` tile of images at a time (training
+keeps the full patch matrix for the backward).
 """
 
 from __future__ import annotations

@@ -5,14 +5,18 @@ ST-HSL uses 2-D convolutions over the region grid (Eq 2 of the paper) and
 1-D convolutions over the time axis (Eqs 3 and 5); several baselines
 (ST-ResNet, STGCN, GWN, STDN, DMSTGCN) also build on these primitives.
 
-The forward pass runs the batch-folded single-gemm kernel in
-:mod:`repro.nn.kernels` on every path, so the graph-building forward and
-the no-grad fast path execute the same arithmetic.  This module owns
-everything around the kernel: dtype promotion, autograd graph
-construction, the backward gemms over the kernel's folded layout, the
-col2im scatter (:func:`_scatter_cols`), and the 1-in/1-out-channel FIR
-fast path.  Grad mode and the workspace-supplying arena are read through
-the thread-local :class:`~repro.nn.context.ExecutionContext` (via
+The forward pass runs the tiled im2col kernel in :mod:`repro.nn.kernels`
+on every path: it fills and contracts the batch-folded patch matrix one
+tile of images (or sequences) at a time, cutting the same tiles on both
+paths, so the graph-building forward and the no-grad fast path execute
+the same arithmetic.  Inference keeps one tile-sized workspace; training
+keeps the full patch matrix for the backward.  This module owns
+everything around the kernel: argument checks, dtype promotion,
+autograd graph construction, the backward gemms over the kernel's
+folded layout, the col2im scatter (:func:`_scatter_cols`), and the
+1-in/1-out-channel FIR fast path.  Grad mode and the workspace-supplying
+arena are read through the thread-local
+:class:`~repro.nn.context.ExecutionContext` (via
 :func:`~repro.nn.tensor.is_grad_enabled` and
 :func:`~repro.nn.arena.request`), so convolutions on concurrent threads
 never observe each other's ``no_grad``/``use_arena`` scopes.
@@ -166,11 +170,12 @@ def _scatter_cols(gcols: np.ndarray, geometry, spatial_size: int) -> np.ndarray:
 
 
 def _add_bias(out_data: np.ndarray, bias_view: np.ndarray) -> np.ndarray:
-    """Add a broadcast bias to a conv output.
+    """Add a broadcast bias to a FIR conv output.
 
-    In place when dtypes match — the matmul/FIR output is exclusively
-    ours on both the training and inference paths — falling back to the
-    promoting out-of-place add for mixed dtypes.
+    In place when dtypes match — the FIR output is exclusively ours on
+    both the training and inference paths — falling back to the
+    promoting out-of-place add for mixed dtypes.  (The gemm kernel adds
+    its own bias, tile by tile.)
     """
     if bias_view.dtype == out_data.dtype:
         out_data += bias_view
@@ -178,17 +183,21 @@ def _add_bias(out_data: np.ndarray, bias_view: np.ndarray) -> np.ndarray:
     return out_data + bias_view
 
 
-def _promote(x: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cast mixed-dtype gemm operands to their promoted dtype.
+def _promote(
+    x: Tensor, weight: Tensor, bias: Tensor | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Cast the kernel's operands to their common dtype.
 
-    The kernel's gemms write into ``out=`` buffers of the input's dtype,
-    so a float32 input with float64 weights would silently compute in
-    float32; promoting first keeps the result ``np.matmul``'s dtype.
+    The kernel's gemms and bias add write into ``out=`` buffers of the
+    input's dtype, so a float32 input with float64 weights (or bias)
+    would silently compute in float32; promoting all three first keeps
+    the output dtype ``np.result_type(x, weight, bias)``.
     """
-    if x.dtype == weight.dtype:
-        return x, weight
-    dtype = np.result_type(x, weight)
-    return x.astype(dtype, copy=False), weight.astype(dtype, copy=False)
+    arrays = [t.data for t in (x, weight, bias) if t is not None]
+    if any(a.dtype != x.dtype for a in arrays):
+        dtype = np.result_type(*arrays)
+        arrays = [a.astype(dtype, copy=False) for a in arrays]
+    return arrays[0], arrays[1], (arrays[2] if bias is not None else None)
 
 
 def _gemm_backward(
@@ -202,10 +211,10 @@ def _gemm_backward(
 ) -> None:
     """Back-propagate a conv output gradient through ``out = w @ cols``.
 
-    ``cols`` is the forward's ``(C_in, K, N, ...)`` patch workspace.
-    Folding ``grad`` into the same ``(C, N*L)`` layout makes both
-    gradients single gemms; the patch gradient goes to ``scatter_gx`` as
-    ``(N, C_in, K*L)``.
+    ``cols`` is the forward's full ``(C_in, K, N, ...)`` patch matrix,
+    which the kernel keeps whole when training.  Folding ``grad`` into
+    the same ``(C, N*L)`` layout makes both gradients single gemms; the
+    patch gradient goes to ``scatter_gx`` as ``(N, C_in, K*L)``.
     """
     c_in, taps, n = cols.shape[:3]
     c_out = w_data.shape[0]
@@ -250,6 +259,8 @@ def conv2d(
     """
     stride = _pair(stride)
     ph, pw = _pair(padding)
+    if min(stride) < 1:
+        raise ValueError(f"conv2d stride must be >= 1 on each axis, got {stride}")
     n, c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
@@ -260,13 +271,13 @@ def conv2d(
     _, _, out_h, out_w = _im2col_indices(hp, wp, kh, kw, stride)
     if out_h <= 0 or out_w <= 0:
         raise ValueError(f"conv2d output size <= 0 (padded {hp}x{wp}, kernel {kh}x{kw})")
-    x_data, w_data = _promote(x.data, weight.data)
-    # The kernel owns padding + workspace layout; workspaces are
+    x_data, w_data, b_data = _promote(x, weight, bias)
+    # The kernel owns padding, tiling and workspace layout; workspaces are
     # arena-pooled on the no-grad path only (during training the saved
     # patch matrix must survive until backward, so it stays fresh).
-    out_data, cols = conv2d_gemm(x_data, w_data, stride, (ph, pw), out_h, out_w, reuse=inference)
-    if bias is not None:
-        out_data = _add_bias(out_data, bias.data.reshape(1, c_out, 1))
+    out_data, cols = conv2d_gemm(
+        x_data, w_data, b_data, stride, (ph, pw), out_h, out_w, reuse=inference
+    )
     out_data = out_data.reshape(n, c_out, out_h, out_w)
     if inference:
         return Tensor._from_array(out_data)
@@ -364,6 +375,8 @@ def conv1d(
         Spacing between kernel taps; dilated causal convolutions are the
         temporal mechanism in the Graph WaveNet baseline.
     """
+    if stride < 1 or dilation < 1:
+        raise ValueError(f"conv1d stride and dilation must be >= 1, got {stride} and {dilation}")
     n, c_in, length = x.shape
     c_out, c_in_w, k = weight.shape
     if c_in != c_in_w:
@@ -386,10 +399,10 @@ def conv1d(
             x_data = _padded(x_data, pad_width) if inference else np.pad(x_data, pad_width)
         return _conv1d_fir(x, weight, bias, x_data, stride, dilation, out_l, padding, length)
 
-    x_data, w_data = _promote(x.data, weight.data)
-    out_data, cols = conv1d_gemm(x_data, w_data, stride, padding, dilation, out_l, reuse=inference)
-    if bias is not None:
-        out_data = _add_bias(out_data, bias.data.reshape(1, c_out, 1))
+    x_data, w_data, b_data = _promote(x, weight, bias)
+    out_data, cols = conv1d_gemm(
+        x_data, w_data, b_data, stride, padding, dilation, out_l, reuse=inference
+    )
     if inference:
         return Tensor._from_array(out_data)
 

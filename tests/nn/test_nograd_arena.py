@@ -204,6 +204,28 @@ class TestBufferArena:
         assert np.array_equal(tail, model.forward_batch(windows[:3]).prediction.data)
 
 
+class TestMultiTileModel:
+    """ST-HSL where both conv encoders run as several kernel tiles (float64,
+    default budget): the one-tile models above cannot see a tile-boundary
+    or workspace-reuse fault."""
+
+    def test_sthsl_predict_pools_under_one_patch_matrix_and_matches_forward(self):
+        from repro.core import STHSL, STHSLConfig
+
+        model = STHSL(
+            STHSLConfig(rows=16, cols=16, num_categories=4, window=14, dim=8), seed=0
+        )
+        windows = np.random.default_rng(10).standard_normal((8, 256, 14, 4))
+        # One full spatial patch matrix: C*d = 32 channels x 9 taps x
+        # B*T = 112 images x 256 positions, float64 — at least 3 tiles.
+        patch_matrix = 32 * 9 * 112 * 256 * 8
+        prediction = model.predict_batch(windows)
+        assert model.release_arena().stats()["nbytes"] < patch_matrix
+        assert patch_matrix >= 3 * nn.kernels.TILE_BYTES
+        model.eval()
+        assert np.array_equal(prediction, model.forward_batch(windows).prediction.data)
+
+
 class TestArenaNumericalIdentity:
     """Arena-backed fast paths run the identical IEEE op sequence."""
 

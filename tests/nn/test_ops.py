@@ -4,14 +4,18 @@
 path, so the references are independent ones: ``scipy.signal.correlate2d``
 and ``np.correlate`` for values, central differences for gradients.
 Every value case also runs on both execution paths — the graph-building
-forward and ``no_grad`` + ``use_arena`` — which must agree bit for bit.
+forward and ``no_grad`` + ``use_arena`` — which must agree bit for bit,
+and both as one kernel tile and as several (the ``tiles`` fixture).
 """
+
+import contextlib
+import math
 
 import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
-from repro.nn import BufferArena, Tensor, no_grad, use_arena
+from repro.nn import BufferArena, Conv1d, Conv2d, Tensor, kernels, no_grad, use_arena
 from repro.nn.gradcheck import gradcheck
 from repro.nn.ops import conv1d, conv2d
 
@@ -25,6 +29,8 @@ GRADCHECK_SETTINGS = {
     "float64": {"eps": 1e-6, "rtol": 1e-4, "atol": 1e-6},
     "float32": {"eps": 1e-2, "rtol": 2e-2, "atol": 2e-2},
 }
+# Batch of the tiled cases: tiles of 2, 2 and 1 under the two-item budget.
+BATCH = 5
 
 
 def _t(*shape):
@@ -34,6 +40,30 @@ def _t(*shape):
 def _arrays(dtype, *shapes, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+
+
+def _two_item_budget(op, arrays, **kwargs):
+    """A tile budget holding the patches of exactly two batch items of ``op``."""
+    with no_grad():
+        out = op(*(Tensor(a) for a in arrays), **kwargs).data
+    return 2 * math.prod(arrays[1].shape[1:]) * math.prod(out.shape[2:]) * out.itemsize
+
+
+@pytest.fixture(params=["one_tile", "multi_tile"])
+def tiles(request, monkeypatch):
+    """Set how the conv kernel tiles the batch of a given call.
+
+    Returns ``split(op, arrays, **kwargs)``.  Under "one_tile" it keeps the
+    default budget, which holds every batch in this module in one tile;
+    under "multi_tile" it patches the budget to two batch items of that
+    call, so a BATCH-item call runs as three tiles with a partial last one.
+    """
+
+    def split(op, arrays, **kwargs):
+        if request.param == "multi_tile":
+            monkeypatch.setattr(kernels, "TILE_BYTES", _two_item_budget(op, arrays, **kwargs))
+
+    return split
 
 
 def _both_paths(op, arrays, **kwargs):
@@ -103,22 +133,25 @@ class TestConv2dForward:
         "stride,padding",
         [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), ((1, 2), (2, 0)), ((2, 1), (0, 1))],
     )
-    def test_matches_scipy_on_both_paths(self, dtype, kernel, stride, padding):
-        x, w, b = _arrays(dtype, (2, 3, 6, 7), (4, 3, *kernel), (4,))
+    def test_matches_scipy_on_both_paths(self, tiles, dtype, kernel, stride, padding):
+        x, w, b = _arrays(dtype, (BATCH, 3, 6, 7), (4, 3, *kernel), (4,))
+        tiles(conv2d, (x, w, b), stride=stride, padding=padding)
         out = _both_paths(conv2d, (x, w, b), stride=stride, padding=padding)
         assert out.dtype == dtype
         np.testing.assert_allclose(
             out, _reference_conv2d(x, w, b, stride, padding), **VALUE_TOL[dtype]
         )
 
-    def test_mixed_dtype_promotes_to_float64(self):
-        # float32 input, float64 weights: the result is float64, like
-        # np.matmul's, and matches the float64 reference at f64 tolerance.
-        x, w, b = _arrays("float32", (2, 3, 5, 6), (4, 3, 3, 3), (4,))
-        w = w.astype(np.float64)
-        out = _both_paths(conv2d, (x, w, b), padding=1)
+    @pytest.mark.parametrize("wide", [1, 2], ids=["weight", "bias"])
+    def test_mixed_dtype_promotes_to_float64(self, wide):
+        # float32 input with float64 weights or bias: the whole call
+        # computes in float64 (np.result_type of all three) and matches the
+        # float64 reference at f64 tolerance.
+        arrays = _arrays("float32", (2, 3, 5, 6), (4, 3, 3, 3), (4,))
+        arrays[wide] = arrays[wide].astype(np.float64)
+        out = _both_paths(conv2d, arrays, padding=1)
         assert out.dtype == np.float64
-        np.testing.assert_allclose(out, _reference_conv2d(x, w, b, 1, 1), **VALUE_TOL["float64"])
+        np.testing.assert_allclose(out, _reference_conv2d(*arrays, 1, 1), **VALUE_TOL["float64"])
 
     def test_padding_preserves_shape(self):
         x, w = _t(1, 2, 5, 5), _t(2, 2, 3, 3)
@@ -158,20 +191,26 @@ class TestConv2dBackward:
             **GRADCHECK_SETTINGS[dtype],
         )
 
-    def test_gradcheck_strided_batch(self):
-        arrays = _arrays("float64", (2, 2, 6, 5), (3, 2, 3, 3), (3,))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_gradcheck_strided_batch(self, tiles, dtype):
+        arrays = _arrays(dtype, (BATCH, 2, 6, 5), (3, 2, 3, 3), (3,))
+        tiles(conv2d, arrays, stride=2, padding=1)
         gradcheck(
             lambda x, w, b: conv2d(x, w, b, stride=2, padding=1),
             [Tensor(a, requires_grad=True) for a in arrays],
+            **GRADCHECK_SETTINGS[dtype],
         )
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
     @pytest.mark.parametrize("stride,padding", [((1, 2), (2, 0)), ((2, 1), (0, 1))])
-    def test_gradcheck_per_axis_geometry(self, kernel, stride, padding):
-        arrays = _arrays("float64", (2, 2, 6, 7), (3, 2, *kernel), (3,))
+    def test_gradcheck_per_axis_geometry(self, tiles, dtype, kernel, stride, padding):
+        arrays = _arrays(dtype, (BATCH, 2, 6, 7), (3, 2, *kernel), (3,))
+        tiles(conv2d, arrays, stride=stride, padding=padding)
         gradcheck(
             lambda x, w, b: conv2d(x, w, b, stride=stride, padding=padding),
             [Tensor(a, requires_grad=True) for a in arrays],
+            **GRADCHECK_SETTINGS[dtype],
         )
 
     def test_gradcheck_mixed_dtype(self):
@@ -194,12 +233,13 @@ class TestConvOutputContract:
 
     @pytest.mark.parametrize("w_dtype", DTYPES)
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (2, 1)])
-    def test_conv2d(self, w_dtype, stride, padding):
-        x, w, b = _arrays("float32", (2, 3, 8, 8), (5, 3, 3, 3), (5,))
+    def test_conv2d(self, tiles, w_dtype, stride, padding):
+        x, w, b = _arrays("float32", (BATCH, 3, 8, 8), (5, 3, 3, 3), (5,))
         w = w.astype(w_dtype)
+        tiles(conv2d, (x, w, b), stride=stride, padding=padding)
         out = _both_paths(conv2d, (x, w, b), stride=stride, padding=padding)
         side = (8 + 2 * padding - 3) // stride + 1
-        assert out.shape == (2, 5, side, side)
+        assert out.shape == (BATCH, 5, side, side)
         assert out.dtype == np.result_type(x, w)
         np.testing.assert_allclose(
             out, _reference_conv2d(x, w, b, stride, padding), **VALUE_TOL[out.dtype.name]
@@ -207,12 +247,13 @@ class TestConvOutputContract:
 
     @pytest.mark.parametrize("w_dtype", DTYPES)
     @pytest.mark.parametrize("stride,padding,dilation", [(1, 1, 1), (1, 2, 2), (2, 0, 1)])
-    def test_conv1d(self, w_dtype, stride, padding, dilation):
-        x, w = _arrays("float32", (2, 3, 16), (4, 3, 3))
+    def test_conv1d(self, tiles, w_dtype, stride, padding, dilation):
+        x, w = _arrays("float32", (BATCH, 3, 16), (4, 3, 3))
         w = w.astype(w_dtype)
+        tiles(conv1d, (x, w), stride=stride, padding=padding, dilation=dilation)
         out = _both_paths(conv1d, (x, w), stride=stride, padding=padding, dilation=dilation)
         length = (16 + 2 * padding - dilation * (3 - 1) - 1) // stride + 1
-        assert out.shape == (2, 4, length)
+        assert out.shape == (BATCH, 4, length)
         assert out.dtype == np.result_type(x, w)
         np.testing.assert_allclose(
             out,
@@ -229,6 +270,68 @@ class TestConvOutputContract:
             conv2d(Tensor(x), Tensor(w))
         assert conv2d(Tensor(x), Tensor(w), padding=1).shape == (1, 1, height, width)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "op,shapes,kwargs",
+        [
+            (conv2d, [(BATCH, 3, 6, 6), (4, 3, 3, 3), (4,)], {"padding": 1}),
+            (conv1d, [(BATCH, 3, 11), (4, 3, 3), (4,)], {"padding": 2, "dilation": 2}),
+        ],
+        ids=["conv2d", "conv1d"],
+    )
+    def test_tiled_kernel_matches_one_tile(self, monkeypatch, dtype, op, shapes, kwargs):
+        # Not bitwise: BLAS picks its blocking by gemm shape, so tiles of
+        # 2, 2 and 1 items may round differently from one 5-item gemm.
+        arrays = _arrays(dtype, *shapes)
+        one_tile = op(*map(Tensor, arrays), **kwargs).data
+        monkeypatch.setattr(kernels, "TILE_BYTES", _two_item_budget(op, arrays, **kwargs))
+        tiled = op(*map(Tensor, arrays), **kwargs).data
+        np.testing.assert_allclose(tiled, one_tile, **VALUE_TOL[dtype])
+
+
+GRAD_MODES = pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+
+
+def _grad_mode(grad):
+    return contextlib.nullcontext() if grad else no_grad()
+
+
+class TestConvArguments:
+    """Strides and dilations below 1 raise ValueError before any kernel work."""
+
+    @GRAD_MODES
+    @pytest.mark.parametrize("stride", [0, (0, 1), (1, 0), -1])
+    def test_conv2d_rejects_stride_below_one(self, grad, stride):
+        x, w = _arrays("float64", (1, 1, 6, 6), (1, 1, 3, 3))
+        with _grad_mode(grad), pytest.raises(ValueError, match="stride must be >= 1"):
+            conv2d(Tensor(x, requires_grad=grad), Tensor(w, requires_grad=grad), stride=stride)
+
+    @GRAD_MODES
+    @pytest.mark.parametrize("channels", [(1, 1), (2, 2)], ids=["fir", "multi"])
+    @pytest.mark.parametrize("stride,dilation", [(0, 1), (-1, 1), (1, 0), (1, -2)])
+    def test_conv1d_rejects_stride_or_dilation_below_one(self, grad, channels, stride, dilation):
+        c_in, c_out = channels
+        x, w = _arrays("float64", (1, c_in, 8), (c_out, c_in, 3))
+        with _grad_mode(grad), pytest.raises(ValueError, match="dilation must be >= 1"):
+            conv1d(
+                Tensor(x, requires_grad=grad),
+                Tensor(w, requires_grad=grad),
+                stride=stride,
+                dilation=dilation,
+            )
+
+    @GRAD_MODES
+    def test_layers_reject_them_at_forward(self, grad):
+        rng = np.random.default_rng(0)
+        layers = [
+            (Conv2d(2, 2, 3, rng, stride=(1, 0)), (1, 2, 6, 6)),
+            (Conv1d(2, 2, 3, rng, stride=0), (1, 2, 8)),
+            (Conv1d(2, 2, 3, rng, dilation=0), (1, 2, 8)),
+        ]
+        for layer, shape in layers:
+            with _grad_mode(grad), pytest.raises(ValueError, match=">= 1"):
+                layer(Tensor(rng.standard_normal(shape)))
+
 
 class TestConv1dForward:
     def test_matches_manual(self):
@@ -242,21 +345,25 @@ class TestConv1dForward:
     @pytest.mark.parametrize(
         "stride,padding,dilation", [(1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2)]
     )
-    def test_matches_correlate_on_both_paths(self, dtype, channels, stride, padding, dilation):
+    def test_matches_correlate_on_both_paths(
+        self, tiles, dtype, channels, stride, padding, dilation
+    ):
         c_in, c_out = channels
-        x, w, b = _arrays(dtype, (2, c_in, 11), (c_out, c_in, 3), (c_out,))
+        x, w, b = _arrays(dtype, (BATCH, c_in, 11), (c_out, c_in, 3), (c_out,))
+        tiles(conv1d, (x, w, b), stride=stride, padding=padding, dilation=dilation)
         out = _both_paths(conv1d, (x, w, b), stride=stride, padding=padding, dilation=dilation)
         assert out.dtype == dtype
         np.testing.assert_allclose(
             out, _reference_conv1d(x, w, b, stride, padding, dilation), **VALUE_TOL[dtype]
         )
 
-    def test_mixed_dtype_promotes_to_float64(self):
-        x, w, b = _arrays("float32", (2, 3, 9), (4, 3, 3), (4,))
-        w = w.astype(np.float64)
-        out = _both_paths(conv1d, (x, w, b), padding=1)
+    @pytest.mark.parametrize("wide", [1, 2], ids=["weight", "bias"])
+    def test_mixed_dtype_promotes_to_float64(self, wide):
+        arrays = _arrays("float32", (2, 3, 9), (4, 3, 3), (4,))
+        arrays[wide] = arrays[wide].astype(np.float64)
+        out = _both_paths(conv1d, arrays, padding=1)
         assert out.dtype == np.float64
-        np.testing.assert_allclose(out, _reference_conv1d(x, w, b, 1, 1, 1), **VALUE_TOL["float64"])
+        np.testing.assert_allclose(out, _reference_conv1d(*arrays, 1, 1, 1), **VALUE_TOL["float64"])
 
     def test_dilation_spacing(self):
         x = Tensor(np.arange(8, dtype=float).reshape(1, 1, 8), requires_grad=True)
@@ -295,21 +402,27 @@ class TestConv1dBackward:
             **GRADCHECK_SETTINGS[dtype],
         )
 
-    def test_gradcheck_strided_batch(self):
-        arrays = _arrays("float64", (2, 2, 9), (3, 2, 3), (3,))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_gradcheck_strided_batch(self, tiles, dtype):
+        arrays = _arrays(dtype, (BATCH, 2, 9), (3, 2, 3), (3,))
+        tiles(conv1d, arrays, stride=2, padding=1)
         gradcheck(
             lambda x, w, b: conv1d(x, w, b, stride=2, padding=1),
             [Tensor(a, requires_grad=True) for a in arrays],
+            **GRADCHECK_SETTINGS[dtype],
         )
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("channels", [(1, 1), (3, 2)], ids=["fir", "multi"])
     @pytest.mark.parametrize("stride,padding,dilation", [(2, 1, 1), (1, 2, 2), (2, 2, 2)])
-    def test_gradcheck_geometry(self, channels, stride, padding, dilation):
+    def test_gradcheck_geometry(self, tiles, dtype, channels, stride, padding, dilation):
         c_in, c_out = channels
-        arrays = _arrays("float64", (2, c_in, 11), (c_out, c_in, 3), (c_out,))
+        arrays = _arrays(dtype, (BATCH, c_in, 11), (c_out, c_in, 3), (c_out,))
+        tiles(conv1d, arrays, stride=stride, padding=padding, dilation=dilation)
         gradcheck(
             lambda x, w, b: conv1d(x, w, b, stride=stride, padding=padding, dilation=dilation),
             [Tensor(a, requires_grad=True) for a in arrays],
+            **GRADCHECK_SETTINGS[dtype],
         )
 
     def test_gradcheck_mixed_dtype(self):
