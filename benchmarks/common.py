@@ -1,13 +1,13 @@
 """Shared configuration for the benchmark harness.
 
-Every bench regenerates one paper table or figure at reduced scale
-(DESIGN.md §5): a 6x6-region grid, ~100-day span, matched budgets.
+Every bench regenerates one paper table or figure at reduced scale: a
+6x6-region grid, ~100-day span, matched budgets.
 The whole protocol is described by :class:`repro.api.RunSpec` values
 (data + model + budget), so a bench row is "one spec, fitted and
 evaluated as a :class:`repro.api.Forecaster`", the path ``repro train``
 takes.  Paper reference values are printed next to measured ones so the
 *shape* comparison (orderings, relative gaps) is visible in the bench
-output; EXPERIMENTS.md records the comparison for the checked-in run.
+output.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Extra ablations beyond the paper's tables (DESIGN.md §6).
+"""Extra ablations beyond the paper's tables.
 
 1. InfoNCE temperature τ — the paper's gradient analysis (§III-F) implies
    τ controls hard-negative weighting; we sweep it.

@@ -1,9 +1,24 @@
-"""Thin setup shim: metadata lives in pyproject.toml.
+"""Package metadata for ``repro``, the numpy reproduction of ST-HSL.
 
-Kept so editable installs work in offline environments whose setuptools
-lacks the ``wheel`` package required by PEP 660 builds.
+The package lives under ``src/``.  numpy and scipy are its only
+third-party imports.  A plain ``setup.py`` (no ``pyproject.toml``) keeps
+editable installs working offline, where setuptools may lack the
+``wheel`` package that PEP 660 builds need.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy", "scipy"],
+)

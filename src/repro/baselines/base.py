@@ -1,7 +1,7 @@
 """Shared building blocks for the baseline zoo.
 
 Every Table III baseline is re-implemented on the ``repro.nn`` substrate
-with its distinguishing inductive bias intact (DESIGN.md §2).  This
+with its distinguishing inductive bias intact.  This
 module holds the pieces several of them share: graph convolutions over
 the region graph, gated temporal convolutions, and the statistical-model
 base class for ARIMA/SVR-style methods that are fit at prediction time.

@@ -36,7 +36,7 @@ class STHSLConfig:
 
     # Self-supervision weights (Eq 10) and InfoNCE temperature (§III-F).
     # The paper searches λ1, λ2 in (0, 1); these defaults are the values
-    # selected on the reduced-scale validation protocol (DESIGN.md §5).
+    # selected on the validation split at the benchmarks' reduced scale.
     lambda_infomax: float = 0.05
     lambda_contrastive: float = 0.01
     weight_decay: float = 1e-5
@@ -48,7 +48,8 @@ class STHSLConfig:
     # behaviour.
     compute_dtype: str = "float64"
     # Infomax corruption: "shuffle" permutes region indices (paper §III-D1);
-    # "noise" perturbs node features instead (extra ablation, DESIGN.md §6).
+    # "noise" perturbs node features instead (an ablation beyond the paper,
+    # in benchmarks/test_ablation_extras.py).
     corruption: str = "shuffle"
     corruption_noise_scale: float = 1.0
 

@@ -6,6 +6,10 @@ The paper's ``V ∈ R^{L'×1}`` is a single-channel kernel applied to every
 embedding dimension — i.e. a depthwise convolution with shared weights —
 plus a per-dimension bias ``c ∈ R^d``.  Four layers are stacked by
 default for long-term temporal context (§IV-A4).
+
+Each layer runs :func:`repro.nn.ops.time_conv` on the hypergraph's
+time-major ``(B, T, RC, d)`` layout directly, so the stack makes no
+transpose or padded copy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from .. import nn
 from ..nn import Tensor
-from ..nn.ops import conv1d
+from ..nn.ops import time_conv
 
 __all__ = ["GlobalTemporalEncoder"]
 
@@ -25,17 +29,13 @@ class _SharedDepthwiseTemporalLayer(nn.Module):
     def __init__(self, dim: int, kernel_size: int, dropout: float, leaky_slope: float, rng):
         super().__init__()
         self.leaky_slope = leaky_slope
-        self.kernel_size = kernel_size
         self.kernel = nn.Parameter(nn.init.xavier_uniform((1, 1, kernel_size), rng))
         self.bias = nn.Parameter(np.zeros(dim))
         self.drop = nn.Dropout(dropout, rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        """``x`` has shape ``(N, d, T)`` where N ranges over nodes."""
-        n, d, t = x.shape
-        flat = x.reshape(n * d, 1, t)
-        convolved = conv1d(flat, self.kernel, padding=self.kernel_size // 2)
-        out = convolved.reshape(n, d, t) + self.bias.reshape(1, d, 1)
+        """``x`` has shape ``(B, T, RC, d)``; the output keeps it."""
+        out = time_conv(x, self.kernel, self.bias)
         return self.drop(out).leaky_relu(self.leaky_slope)
 
 
@@ -62,16 +62,13 @@ class GlobalTemporalEncoder(nn.Module):
     def forward(self, gamma: Tensor) -> Tensor:
         """Encode ``(T, RC, d)`` hypergraph embeddings into ``Γ^(T)``.
 
-        Also accepts a stacked batch ``(B, T, RC, d)``; the batch is folded
-        into the conv's node axis ``(B*RC, d, T)`` so every window shares
-        one vectorized invocation.  Output keeps the input layout.
+        Also accepts a stacked batch ``(B, T, RC, d)``, which every layer
+        convolves along its time axis in one call.  Output keeps the
+        input layout.
         """
         squeeze = gamma.ndim == 3
         if squeeze:
             gamma = gamma.expand_dims(0)
-        b, t, nodes, d = gamma.shape
-        sequence = gamma.transpose(0, 2, 3, 1).reshape(b * nodes, d, t)
         for layer in self.layers:
-            sequence = layer(sequence)
-        out = sequence.reshape(b, nodes, d, t).transpose(0, 3, 1, 2)
-        return out.squeeze(0) if squeeze else out
+            gamma = layer(gamma)
+        return gamma.squeeze(0) if squeeze else gamma

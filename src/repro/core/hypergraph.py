@@ -69,7 +69,7 @@ class HypergraphEncoder(nn.Module):
         ``"shuffle"`` permutes the region-category node indices (§III-D1),
         so hyperedge memberships no longer align with crime patterns.
         ``"noise"`` perturbs node features with Gaussian noise instead — a
-        corruption-strategy ablation beyond the paper (DESIGN.md §6).
+        corruption-strategy ablation beyond the paper.
 
         Accepts ``(T, RC, d)`` or a stacked batch ``(B, T, RC, d)``.  In
         the batched case each window draws its own permutation, in batch

@@ -388,13 +388,15 @@ class STHSL(nn.Module):
             return self.forward_batch(windows).prediction.data.copy()
 
     def hyperedge_relevance(self, window: np.ndarray) -> np.ndarray:
-        """Time-aware region-hyperedge dependency scores (Figure 8)."""
+        """Time-aware region-hyperedge dependency scores (Figure 8).
+
+        Scores the node embeddings the forward feeds the hypergraph (the
+        multi-view encoder's output, or the raw embeddings in "w/o
+        Local"), which a plain ``no_grad`` forward carries on its output.
+        """
         if self.hypergraph is None:
             raise RuntimeError("hypergraph branch is disabled in this config")
-        cfg = self.config
         self.eval()
-        with nn.no_grad(), nn.use_arena(self._inference_arena()):
-            embeddings = self.embedding(window)
-            r, t, c, d = embeddings.shape
-            nodes = embeddings.transpose(1, 0, 2, 3).reshape(t, r * c, d)
-            return self.hypergraph.relevance(nodes)
+        with nn.no_grad():
+            nodes = self.forward_batch(np.asarray(window)[None]).nodes
+        return self.hypergraph.relevance(nodes.squeeze(0))

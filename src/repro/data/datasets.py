@@ -3,7 +3,7 @@
 ``load_city`` is the single entry point used by examples, tests and
 benchmarks.  A full-scale dataset matches the paper's Table II; passing
 ``rows/cols/num_days`` yields the reduced-scale variants used by the
-benchmark harness (DESIGN.md §5).
+benchmark harness (6x6 regions, ~100 days in ``benchmarks/common.py``).
 """
 
 from __future__ import annotations

@@ -88,8 +88,8 @@ class CityConfig:
         """Return a reduced-scale copy preserving statistical character.
 
         Case volumes shrink proportionally to the region-count and
-        day-count reduction so per-cell sparsity stays comparable —
-        DESIGN.md §5's reduced-scale protocol.
+        day-count reduction so per-cell sparsity stays comparable to the
+        full-scale city.
         """
         factor = (rows * cols * num_days) / (self.num_regions * self.num_days)
         totals = tuple(max(1, int(round(n * factor))) for n in self.total_cases)

@@ -2,8 +2,9 @@
 
 The paper's reference implementation targets PyTorch on GPU; this package
 provides the subset of functionality ST-HSL and its fifteen baselines need:
-reverse-mode autograd, conv/recurrent/attention layers, optimisers and
-checkpointing.  See DESIGN.md §2 for the substitution rationale.
+reverse-mode autograd, conv/recurrent/attention layers, the optimiser
+and checkpointing.  PyTorch is not a dependency, so the models run on
+this substrate instead.
 """
 
 from . import functional, init, kernels
@@ -27,7 +28,7 @@ from .layers import (
 )
 from .module import Module, ModuleList, Parameter, Sequential
 from .ops import conv1d, conv2d
-from .optim import SGD, Adam, CosineAnnealingLR, StepLR, clip_grad_norm
+from .optim import Adam, clip_grad_norm
 from .serialization import (
     MANIFEST_KEY,
     load_archive,
@@ -82,10 +83,7 @@ __all__ = [
     "ReLU",
     "LeakyReLU",
     "Tanh",
-    "SGD",
     "Adam",
-    "StepLR",
-    "CosineAnnealingLR",
     "clip_grad_norm",
     "conv1d",
     "conv2d",

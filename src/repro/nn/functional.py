@@ -3,11 +3,13 @@
 These are composites of the primitive ops in :mod:`repro.nn.tensor`, so
 their gradients come for free from the autograd engine.  The convolution
 primitives are re-exported from :mod:`repro.nn.ops` for
-``torch.nn.functional`` call-site parity (``F.conv2d(...)``); they
-run the tiled im2col kernel in :mod:`repro.nn.kernels`, which fills and
-contracts the batch-folded patch matrix one
-:data:`~repro.nn.kernels.TILE_BYTES` tile of images at a time (training
-keeps the full patch matrix for the backward).
+``torch.nn.functional`` call-site parity (``F.conv2d(...)``); every
+``conv1d`` and ``conv2d`` call runs the tiled im2col kernel in
+:mod:`repro.nn.kernels`, which fills and contracts the batch-folded
+patch matrix one :data:`~repro.nn.kernels.TILE_BYTES` tile of images or
+sequences at a time (training keeps the full patch matrix for the
+backward).  Paper Eq. 5's shared-kernel time convolution is
+:func:`repro.nn.ops.time_conv`, not a ``conv1d`` call.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Weight initialisation schemes.
 
 All initialisers take an explicit ``numpy.random.Generator`` so that model
-construction is fully deterministic given a seed — a requirement for the
-reproducibility protocol in DESIGN.md §5.
+construction is fully deterministic given a seed, so every run of a
+reproduced table rebuilds the same models.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The convolution kernel: batch-folded im2col, contracted one tile at a time.
 
-Every :func:`~repro.nn.conv2d` and multi-channel
-:func:`~repro.nn.conv1d` call — training and inference, float32 and
-float64 — runs the forward kernel for its rank here.  The folded batch
+Every :func:`~repro.nn.conv2d` and :func:`~repro.nn.conv1d` call —
+training and inference, float32 and float64 — runs the forward kernel
+for its rank here.  The folded batch
 axis ``N`` (images for 2-D, sequences for 1-D) is cut into tiles of as
 many items as fit one :data:`TILE_BYTES` patch-matrix budget: at least
 one item, and the whole batch when it fits.  For each tile the kernel

@@ -2,21 +2,26 @@
 
 Implements 1-D and 2-D cross-correlation (the deep-learning "convolution").
 ST-HSL uses 2-D convolutions over the region grid (Eq 2 of the paper) and
-1-D convolutions over the time axis (Eqs 3 and 5); several baselines
+1-D convolutions over the time axis (Eq 3); several baselines
 (ST-ResNet, STGCN, GWN, STDN, DMSTGCN) also build on these primitives.
 
-The forward pass runs the tiled im2col kernel in :mod:`repro.nn.kernels`
-on every path: it fills and contracts the batch-folded patch matrix one
-tile of images (or sequences) at a time, cutting the same tiles on both
-paths, so the graph-building forward and the no-grad fast path execute
-the same arithmetic.  Inference keeps one tile-sized workspace; training
-keeps the full patch matrix for the backward.  This module owns
-everything around the kernel: argument checks, dtype promotion,
-autograd graph construction, the backward gemms over the kernel's
-folded layout, the col2im scatter (:func:`_scatter_cols`), and the
-1-in/1-out-channel FIR fast path.  Grad mode and the workspace-supplying
-arena are read through the thread-local
-:class:`~repro.nn.context.ExecutionContext` (via
+The forward pass of :func:`conv2d` and :func:`conv1d` runs the tiled
+im2col kernel in :mod:`repro.nn.kernels` on every path: it fills and
+contracts the batch-folded patch matrix one tile of images (or
+sequences) at a time, cutting the same tiles on both paths, so the
+graph-building forward and the no-grad fast path execute the same
+arithmetic.  Inference keeps one tile-sized workspace; training keeps
+the full patch matrix for the backward.  This module owns everything
+around the kernel: argument checks, dtype promotion, autograd graph
+construction, the backward gemms over the kernel's folded layout and
+the col2im scatter (:func:`_scatter_cols`).
+
+:func:`time_conv` is paper Eq. 5's convolution: one shared kernel slid
+along axis 1 of a time-major ``(B, T, ..., d)`` tensor, as per-tap
+shifted adds of whole time slices, with its own backward.
+
+Grad mode and the workspace-supplying arena are read through the
+thread-local :class:`~repro.nn.context.ExecutionContext` (via
 :func:`~repro.nn.tensor.is_grad_enabled` and
 :func:`~repro.nn.arena.request`), so convolutions on concurrent threads
 never observe each other's ``no_grad``/``use_arena`` scopes.
@@ -28,11 +33,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arena import request as _arena_request
-from .kernels import conv1d_gemm, conv2d_gemm
-from .tensor import Tensor, _padded, is_grad_enabled
+from .kernels import _workspace, conv1d_gemm, conv2d_gemm
+from .tensor import Tensor, is_grad_enabled
 
-__all__ = ["conv2d", "conv1d"]
+__all__ = ["conv2d", "conv1d", "time_conv"]
 
 
 def _pair(value) -> tuple[int, int]:
@@ -169,20 +173,6 @@ def _scatter_cols(gcols: np.ndarray, geometry, spatial_size: int) -> np.ndarray:
     return _scatter_cols_native(gcols, geometry, spatial_size)
 
 
-def _add_bias(out_data: np.ndarray, bias_view: np.ndarray) -> np.ndarray:
-    """Add a broadcast bias to a FIR conv output.
-
-    In place when dtypes match — the FIR output is exclusively ours on
-    both the training and inference paths — falling back to the
-    promoting out-of-place add for mixed dtypes.  (The gemm kernel adds
-    its own bias, tile by tile.)
-    """
-    if bias_view.dtype == out_data.dtype:
-        out_data += bias_view
-        return out_data
-    return out_data + bias_view
-
-
 def _promote(
     x: Tensor, weight: Tensor, bias: Tensor | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -261,6 +251,8 @@ def conv2d(
     ph, pw = _pair(padding)
     if min(stride) < 1:
         raise ValueError(f"conv2d stride must be >= 1 on each axis, got {stride}")
+    if min(ph, pw) < 0:
+        raise ValueError(f"conv2d padding must be >= 0 on each axis, got {(ph, pw)}")
     n, c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
@@ -298,61 +290,6 @@ def conv2d(
     return Tensor._make(out_data, parents, backward)
 
 
-def _conv1d_fir(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None,
-    x_data: np.ndarray,
-    stride: int,
-    dilation: int,
-    out_l: int,
-    padding: int,
-    length: int,
-) -> Tensor:
-    """``conv1d`` for 1-in/1-out channels: per-tap scaled strided adds."""
-    n = x_data.shape[0]
-    k = weight.shape[-1]
-    w_taps = weight.data.reshape(k)
-    inference = not is_grad_enabled()
-
-    def tap_slice(tap: int) -> slice:
-        start = tap * dilation
-        return slice(start, start + stride * out_l, stride)
-
-    first = x_data[:, :, tap_slice(0)]
-    out_buffer = None
-    if inference and w_taps.dtype == x_data.dtype and first.flags.c_contiguous:
-        out_buffer = _arena_request((n, 1, out_l), x_data.dtype)
-    out_data = np.multiply(first, w_taps[0], out=out_buffer)
-    for tap in range(1, k):
-        out_data += w_taps[tap] * x_data[:, :, tap_slice(tap)]
-    if bias is not None:
-        out_data = _add_bias(out_data, bias.data.reshape(1, 1, 1))
-    if inference:
-        return Tensor._from_array(out_data)
-
-    parents = [x, weight] + ([bias] if bias is not None else [])
-
-    def backward(out: Tensor) -> None:
-        grad = out.grad
-        if bias is not None and bias.requires_grad:
-            Tensor._accum(bias, grad.sum().reshape(1), own=True)
-        if weight.requires_grad:
-            gw = np.array(
-                [np.vdot(grad, np.ascontiguousarray(x_data[:, :, tap_slice(tap)])) for tap in range(k)],
-                dtype=grad.dtype,
-            )
-            Tensor._accum(weight, gw.reshape(weight.data.shape), own=True)
-        if x.requires_grad:
-            gx_pad = np.zeros((n, 1, x_data.shape[2]), dtype=x.data.dtype)
-            for tap in range(k):
-                gx_pad[:, :, tap_slice(tap)] += w_taps[tap] * grad
-            gx = gx_pad[:, :, padding : padding + length] if padding else gx_pad
-            Tensor._accum(x, gx, own=True)
-
-    return Tensor._make(out_data, parents, backward)
-
-
 def conv1d(
     x: Tensor,
     weight: Tensor,
@@ -377,6 +314,8 @@ def conv1d(
     """
     if stride < 1 or dilation < 1:
         raise ValueError(f"conv1d stride and dilation must be >= 1, got {stride} and {dilation}")
+    if padding < 0:
+        raise ValueError(f"conv1d padding must be >= 0, got {padding}")
     n, c_in, length = x.shape
     c_out, c_in_w, k = weight.shape
     if c_in != c_in_w:
@@ -388,16 +327,6 @@ def conv1d(
     if lp < span:
         raise ValueError(f"conv1d output length <= 0 (L={length}, k={k}, dilation={dilation})")
     _, out_l = _conv1d_indices(lp, k, stride, dilation)
-
-    if c_in == 1 and c_out == 1:
-        # FIR fast path for single-channel kernels (ST-HSL's Eq-5 shared
-        # depthwise temporal conv runs here with huge N): k scaled strided
-        # adds replace the patch fill + gemm entirely.
-        x_data = x.data
-        if padding:
-            pad_width = ((0, 0), (0, 0), (padding, padding))
-            x_data = _padded(x_data, pad_width) if inference else np.pad(x_data, pad_width)
-        return _conv1d_fir(x, weight, bias, x_data, stride, dilation, out_l, padding, length)
 
     x_data, w_data, b_data = _promote(x, weight, bias)
     out_data, cols = conv1d_gemm(
@@ -418,3 +347,81 @@ def conv1d(
         _gemm_backward(out.grad, x, weight, bias, w_data, cols, scatter_gx)
 
     return Tensor._make(out_data, parents, backward)
+
+
+def _time_taps(length: int, k: int):
+    """Yield ``(tap, dst, src)`` for each tap of a "same" ``k``-tap kernel
+    that reaches into a length-``length`` axis: ``out[dst] += V[tap] * x[src]``.
+
+    The bounds are clamped, so a tap shifted past the whole axis
+    (``length <= k // 2``) is skipped rather than sliced with a negative
+    bound, which numpy would count from the end.
+    """
+    half = k // 2
+    for tap in range(k):
+        shift = tap - half
+        lo, hi = max(0, -shift), min(length, length - shift)
+        if lo < hi:
+            yield tap, slice(lo, hi), slice(lo + shift, hi + shift)
+
+
+def _shifted_adds(
+    out: np.ndarray, data: np.ndarray, taps: np.ndarray, product: np.ndarray, adjoint: bool
+) -> None:
+    """``out[:, dst] += taps[tap] * data[:, src]`` for every tap, in tap order.
+
+    ``adjoint`` swaps ``dst`` and ``src`` (the input gradient).  Each
+    product goes through the flat ``product`` workspace, which holds at
+    least ``data.size`` elements.
+    """
+    for tap, dst, src in _time_taps(out.shape[1], taps.size):
+        if adjoint:
+            dst, src = src, dst
+        window = data[:, src]
+        scaled = product[: window.size].reshape(window.shape)
+        np.multiply(window, taps[tap], out=scaled)
+        out[:, dst] += scaled
+
+
+def time_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Paper Eq. 5's convolution: one shared kernel slid along time.
+
+    A "same" cross-correlation along axis 1 of ``x`` ``(B, T, ..., d)``,
+    reading zeros past either end, plus a bias over the last axis; the
+    output keeps the input's shape::
+
+        out[:, t] = sum_k V[k] * x[:, t + k - K // 2] + c
+
+    ``kernel`` holds the ``K`` taps of ``V`` in any shape (ST-HSL keeps
+    the ``(1, 1, K)`` of a one-channel conv1d weight); ``bias`` is ``c``,
+    shaped ``(d,)``.  The taps are added to a zeroed output in order,
+    then the bias.  Under ``no_grad`` the output and the per-tap product
+    come from the active arena; the graph path runs the same arithmetic
+    into fresh buffers, so the two agree bit for bit.
+    """
+    x_data, taps, c = _promote(x, kernel, bias)
+    taps = taps.reshape(-1)
+    inference = not is_grad_enabled()
+    out = _workspace(x_data.shape, x_data.dtype, inference)
+    out.fill(0)
+    product = _workspace((x_data.size,), x_data.dtype, inference)
+    _shifted_adds(out, x_data, taps, product, adjoint=False)
+    out += c
+    if inference:
+        return Tensor._from_array(out)
+
+    def backward(result: Tensor) -> None:
+        grad = result.grad
+        if bias.requires_grad:
+            Tensor._accum(bias, grad.sum(axis=tuple(range(grad.ndim - 1))), own=True)
+        if kernel.requires_grad:
+            gv = np.zeros(taps.size, dtype=grad.dtype)
+            for tap, dst, src in _time_taps(grad.shape[1], taps.size):
+                gv[tap] = np.vdot(grad[:, dst], x_data[:, src])
+            Tensor._accum(kernel, gv.reshape(kernel.shape), own=True)
+        if x.requires_grad:
+            gx = np.zeros(grad.shape, dtype=grad.dtype)
+            _shifted_adds(gx, grad, taps, np.empty(grad.size, grad.dtype), adjoint=True)
+            Tensor._accum(x, gx, own=True)
+
+    return Tensor._make(out, [x, kernel, bias], backward)

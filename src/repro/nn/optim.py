@@ -1,8 +1,9 @@
-"""Optimisers: SGD with momentum and Adam, plus gradient clipping.
+"""The optimiser, Adam, plus gradient clipping.
 
-ST-HSL trains with Adam at lr=1e-3 (paper §IV-A4); the weight-decay term
-λ3‖Θ‖² of Eq 10 is applied here as decoupled L2 regularisation so every
-model in the comparison shares the same implementation.
+ST-HSL trains with Adam at lr=1e-3 (paper §IV-A4), and so does every
+baseline in the comparison; the weight-decay term λ3‖Θ‖² of Eq 10 is
+applied here as L2 regularisation so every model shares the same
+implementation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm", "StepLR", "CosineAnnealingLR"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 class Optimizer:
@@ -35,36 +36,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and L2 decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
 
 
 class Adam(Optimizer):
@@ -104,53 +75,6 @@ class Adam(Optimizer):
             m_hat = m / bc1
             v_hat = v / bc2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class _LRScheduler:
-    """Base learning-rate scheduler; call :meth:`step` once per epoch."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def get_lr(self) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def step(self) -> float:
-        self.epoch += 1
-        self.optimizer.lr = self.get_lr()
-        return self.optimizer.lr
-
-
-class StepLR(_LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
-        super().__init__(optimizer)
-        if step_size < 1:
-            raise ValueError("step_size must be >= 1")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class CosineAnnealingLR(_LRScheduler):
-    """Cosine decay from the base LR to ``min_lr`` over ``total_epochs``."""
-
-    def __init__(self, optimizer: Optimizer, total_epochs: int, min_lr: float = 0.0):
-        super().__init__(optimizer)
-        if total_epochs < 1:
-            raise ValueError("total_epochs must be >= 1")
-        self.total_epochs = total_epochs
-        self.min_lr = min_lr
-
-    def get_lr(self) -> float:
-        progress = min(self.epoch / self.total_epochs, 1.0)
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.base_lr - self.min_lr) * cosine
 
 
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:

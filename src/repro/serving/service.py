@@ -281,9 +281,8 @@ class ForecastService:
             results = [h.wait() for h in handles]
         print(service.stats().to_dict())
 
-    ``max_batch`` bounds the coalesced batch (small batches are the
-    single-core sweet spot — see ROADMAP Performance); ``max_delay`` is
-    how long a worker holds an under-full batch open for stragglers.
+    ``max_batch`` bounds the coalesced batch; ``max_delay`` is how long
+    a worker holds an under-full batch open for stragglers.
     The default 2 ms is far below model latency, so it costs essentially
     no added latency while letting a burst of concurrent clients land in
     one batch.  ``workers`` sizes the worker-thread pool draining the

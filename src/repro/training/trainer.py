@@ -96,23 +96,18 @@ class Trainer:
         train_limit: int | None = None,
         restore_best: bool = True,
         verbose: bool = False,
-        scheduler=None,
     ) -> TrainResult:
         """Train for up to ``epochs`` epochs.
 
         ``train_limit`` caps windows per epoch (reduced-scale protocol);
         ``patience`` stops after that many epochs without validation
-        improvement; the best checkpoint is restored on exit.  An optional
-        LR ``scheduler`` (see :mod:`repro.nn.optim`) is stepped once per
-        epoch.
+        improvement; the best checkpoint is restored on exit.
         """
         result = TrainResult()
         stale = 0
         for epoch in range(epochs):
             start = time.perf_counter()
             train_loss = self._train_epoch(windows, train_limit)
-            if scheduler is not None:
-                scheduler.step()
             val_mae = self.validate(windows)
             seconds = time.perf_counter() - start
             result.history.append(

@@ -155,6 +155,23 @@ class TestInterpretation:
         assert rel.shape == (cfg.window, cfg.num_hyperedges, cfg.num_regions * cfg.num_categories)
         assert np.allclose(rel.sum(axis=2), 1.0)
 
+    @pytest.mark.parametrize("use_local", [True, False], ids=["local", "wo_local"])
+    def test_relevance_scores_the_hypergraph_input(self, use_local):
+        # Figure 8 explains what the hypergraph consumes: the spatial ->
+        # temporal encoder output, or the raw embeddings in "w/o Local".
+        cfg = _cfg(use_local=use_local, use_contrastive=use_local)
+        model = STHSL(cfg, seed=0)
+        window = _window(cfg)
+        model.eval()
+        with nn.no_grad():
+            source = model.embedding(window[None])  # (1, R, T, C, d)
+            if use_local:
+                source = model.temporal_encoder(model.spatial_encoder(source))
+            nodes = source.transpose(0, 2, 1, 3, 4).reshape(cfg.window, -1, cfg.dim)
+        np.testing.assert_array_equal(
+            model.hyperedge_relevance(window), model.hypergraph.relevance(nodes)
+        )
+
     def test_relevance_requires_hypergraph(self):
         cfg = _cfg(use_hypergraph=False, use_global=False, use_infomax=False, use_contrastive=False)
         model = STHSL(cfg, seed=0)

@@ -1,8 +1,9 @@
 """Convolution op tests: values against scipy, gradients against finite diff.
 
 ``conv1d``/``conv2d`` run one kernel (batch-folded single gemm) on every
-path, so the references are independent ones: ``scipy.signal.correlate2d``
-and ``np.correlate`` for values, central differences for gradients.
+path and ``time_conv`` runs per-tap shifted adds, so the references are
+independent ones: ``scipy.signal.correlate2d`` and ``np.correlate`` for
+values, central differences for gradients.
 Every value case also runs on both execution paths — the graph-building
 forward and ``no_grad`` + ``use_arena`` — which must agree bit for bit,
 and both as one kernel tile and as several (the ``tiles`` fixture).
@@ -15,9 +16,10 @@ import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
-from repro.nn import BufferArena, Conv1d, Conv2d, Tensor, kernels, no_grad, use_arena
+from repro.core import GlobalTemporalEncoder
+from repro.nn import BufferArena, Conv1d, Conv2d, Tensor, dtype_scope, kernels, no_grad, use_arena
 from repro.nn.gradcheck import gradcheck
-from repro.nn.ops import conv1d, conv2d
+from repro.nn.ops import conv1d, conv2d, time_conv
 
 RNG = np.random.default_rng(1)
 DTYPES = ["float64", "float32"]
@@ -297,7 +299,8 @@ def _grad_mode(grad):
 
 
 class TestConvArguments:
-    """Strides and dilations below 1 raise ValueError before any kernel work."""
+    """Strides and dilations below 1, and negative paddings, raise
+    ValueError before any kernel work."""
 
     @GRAD_MODES
     @pytest.mark.parametrize("stride", [0, (0, 1), (1, 0), -1])
@@ -307,7 +310,7 @@ class TestConvArguments:
             conv2d(Tensor(x, requires_grad=grad), Tensor(w, requires_grad=grad), stride=stride)
 
     @GRAD_MODES
-    @pytest.mark.parametrize("channels", [(1, 1), (2, 2)], ids=["fir", "multi"])
+    @pytest.mark.parametrize("channels", [(1, 1), (2, 2)], ids=["one_channel", "multi"])
     @pytest.mark.parametrize("stride,dilation", [(0, 1), (-1, 1), (1, 0), (1, -2)])
     def test_conv1d_rejects_stride_or_dilation_below_one(self, grad, channels, stride, dilation):
         c_in, c_out = channels
@@ -319,6 +322,44 @@ class TestConvArguments:
                 stride=stride,
                 dilation=dilation,
             )
+
+    @GRAD_MODES
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [-1, (-1, 0), (0, -1)])
+    def test_conv2d_rejects_negative_padding(self, grad, stride, padding):
+        x, w = _arrays("float64", (1, 1, 6, 6), (1, 1, 3, 3))
+        with _grad_mode(grad), pytest.raises(ValueError, match="padding must be >= 0"):
+            conv2d(
+                Tensor(x, requires_grad=grad),
+                Tensor(w, requires_grad=grad),
+                stride=stride,
+                padding=padding,
+            )
+
+    @GRAD_MODES
+    @pytest.mark.parametrize("channels", [(1, 1), (2, 2)], ids=["one_channel", "multi"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv1d_rejects_negative_padding(self, grad, channels, stride):
+        c_in, c_out = channels
+        x, w = _arrays("float64", (1, c_in, 8), (c_out, c_in, 3))
+        with _grad_mode(grad), pytest.raises(ValueError, match="padding must be >= 0"):
+            conv1d(
+                Tensor(x, requires_grad=grad),
+                Tensor(w, requires_grad=grad),
+                stride=stride,
+                padding=-1,
+            )
+
+    @GRAD_MODES
+    def test_layers_reject_negative_padding_at_forward(self, grad):
+        rng = np.random.default_rng(0)
+        layers = [
+            (Conv2d(2, 2, 3, rng, padding=(0, -1)), (1, 2, 6, 6)),
+            (Conv1d(2, 2, 3, rng, padding=-1), (1, 2, 8)),
+        ]
+        for layer, shape in layers:
+            with _grad_mode(grad), pytest.raises(ValueError, match="padding must be >= 0"):
+                layer(Tensor(rng.standard_normal(shape)))
 
     @GRAD_MODES
     def test_layers_reject_them_at_forward(self, grad):
@@ -341,7 +382,7 @@ class TestConv1dForward:
         assert np.allclose(out.data[0, 0], expected)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("channels", [(1, 1), (3, 4)], ids=["fir", "multi"])
+    @pytest.mark.parametrize("channels", [(1, 1), (3, 4)], ids=["one_channel", "multi"])
     @pytest.mark.parametrize(
         "stride,padding,dilation", [(1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2)]
     )
@@ -413,7 +454,7 @@ class TestConv1dBackward:
         )
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("channels", [(1, 1), (3, 2)], ids=["fir", "multi"])
+    @pytest.mark.parametrize("channels", [(1, 1), (3, 2)], ids=["one_channel", "multi"])
     @pytest.mark.parametrize("stride,padding,dilation", [(2, 1, 1), (1, 2, 2), (2, 2, 2)])
     def test_gradcheck_geometry(self, tiles, dtype, channels, stride, padding, dilation):
         c_in, c_out = channels
@@ -432,3 +473,69 @@ class TestConv1dBackward:
             [Tensor(a, requires_grad=True) for a in (x, w.astype(np.float64), b)],
             **GRADCHECK_SETTINGS["float32"],
         )
+
+
+def _reference_time_conv(x, kernel, bias):
+    """``np.correlate`` per time sequence, K // 2 zeros on each side, plus the bias."""
+    x, taps = x.astype(np.float64), kernel.astype(np.float64).ravel()
+    half = taps.size // 2
+    padded = np.pad(x, [(0, 0), (half, half)] + [(0, 0)] * (x.ndim - 2))
+    out = np.empty(x.shape)
+    for b in range(x.shape[0]):
+        for index in np.ndindex(x.shape[2:]):
+            sequence = (b, slice(None), *index)
+            out[sequence] = np.correlate(padded[sequence], taps, mode="valid")
+    return out + bias
+
+
+class TestTimeConv:
+    """Paper Eq. 5's shared-kernel "same" convolution along axis 1."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("length", [1, 2, 14])
+    def test_matches_correlate_on_both_paths(self, dtype, k, length):
+        # length <= k // 2 shifts whole taps past the time axis (K 7, T 2).
+        arrays = _arrays(dtype, (3, length, 4, 2), (1, 1, k), (2,))
+        out = _both_paths(time_conv, arrays)
+        assert out.shape == (3, length, 4, 2) and out.dtype == dtype
+        np.testing.assert_allclose(out, _reference_time_conv(*arrays), **VALUE_TOL[dtype])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k,length", [(3, 6), (5, 4), (7, 2)])
+    def test_gradcheck(self, dtype, k, length):
+        shape = (2, length, 3, 2)
+        x, kernel, bias, weights = _arrays(dtype, shape, (1, 1, k), (2,), shape)
+        gradcheck(
+            lambda x, kernel, bias: time_conv(x, kernel, bias) * Tensor(weights),
+            [Tensor(a, requires_grad=True) for a in (x, kernel, bias)],
+            **GRADCHECK_SETTINGS[dtype],
+        )
+
+    def test_warm_call_takes_every_buffer_from_the_arena(self):
+        x, kernel, bias = map(Tensor, _arrays("float32", (4, 14, 8, 2), (1, 1, 3), (2,)))
+        arena = BufferArena()
+        with no_grad(), use_arena(arena):
+            time_conv(x, kernel, bias)
+            misses = arena.misses
+            out = time_conv(x, kernel, bias).data
+            assert arena.misses == misses
+            assert any(out.base is slab for slab in arena._in_use)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_encoder_matches_the_conv1d_layout(self, dtype):
+        # Each Eq. 5 layer equals the one-channel conv1d over (B*N*d, 1, T)
+        # sequences, transposed back, plus the bias, through LeakyReLU.
+        with dtype_scope(dtype):
+            encoder = GlobalTemporalEncoder(4, 3, 2, 0.0, 0.2, np.random.default_rng(0))
+        for layer, bias in zip(encoder.layers, _arrays(dtype, (4,), (4,))):
+            layer.bias.data[...] = bias
+        (x,) = _arrays(dtype, (3, 9, 5, 4), seed=1)
+        expected = x
+        for layer in encoder.layers:
+            b, t, n, d = expected.shape
+            flat = expected.transpose(0, 2, 3, 1).reshape(b * n * d, 1, t)
+            conv = conv1d(Tensor(flat), layer.kernel, padding=1).data
+            out = conv.reshape(b, n, d, t).transpose(0, 3, 1, 2) + layer.bias.data
+            expected = np.where(out > 0, out, 0.2 * out)
+        np.testing.assert_allclose(encoder(Tensor(x)).data, expected, **VALUE_TOL[dtype])

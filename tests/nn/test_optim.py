@@ -19,48 +19,6 @@ def _step(param, opt):
     opt.step()
 
 
-class TestSGD:
-    def test_single_step_matches_rule(self):
-        p = _quadratic_param(3.0)
-        opt = nn.SGD([p], lr=0.1)
-        _step(p, opt)
-        # grad of p^2 at 3 is 6; p <- 3 - 0.1*6 = 2.4
-        assert p.data[0] == pytest.approx(2.4)
-
-    def test_momentum_accumulates(self):
-        p = _quadratic_param(1.0)
-        opt = nn.SGD([p], lr=0.1, momentum=0.9)
-        _step(p, opt)
-        first_move = 1.0 - p.data[0]
-        before = p.data[0]
-        _step(p, opt)
-        second_move = before - p.data[0]
-        assert second_move > first_move * 0.9  # velocity carries over
-
-    def test_weight_decay_pulls_to_zero(self):
-        p = Parameter(np.array([10.0]))
-        opt = nn.SGD([p], lr=0.1, weight_decay=1.0)
-        opt.zero_grad()
-        p.grad = np.zeros(1)
-        opt.step()
-        assert p.data[0] == pytest.approx(9.0)
-
-    def test_skips_params_without_grad(self):
-        p = Parameter(np.array([1.0]))
-        opt = nn.SGD([p], lr=0.1)
-        opt.step()  # no grad assigned; should not raise or move
-        assert p.data[0] == 1.0
-
-    def test_empty_param_list_is_noop(self):
-        # Parameterless models (statistical baselines) share the trainer;
-        # construction, stepping and zeroing must all be tolerated.
-        for factory in (nn.SGD, nn.Adam):
-            opt = factory([], lr=0.1)
-            opt.zero_grad()
-            opt.step()
-            assert opt.params == []
-
-
 class TestAdam:
     def test_first_step_size_is_lr(self):
         # With bias correction the first Adam step is ≈ lr in magnitude.
@@ -85,6 +43,20 @@ class TestAdam:
             _step(decayed, opt_d)
             _step(plain, opt_p)
         assert abs(decayed.data[0]) <= abs(plain.data[0]) + 1e-9
+
+    def test_skips_params_without_grad(self):
+        p = Parameter(np.array([1.0]))
+        opt = nn.Adam([p], lr=0.1)
+        opt.step()  # no grad assigned; should not raise or move
+        assert p.data[0] == 1.0
+
+    def test_empty_param_list_is_noop(self):
+        # Parameterless models (statistical baselines) share the trainer;
+        # construction, stepping and zeroing must all be tolerated.
+        opt = nn.Adam([], lr=0.1)
+        opt.zero_grad()
+        opt.step()
+        assert opt.params == []
 
     def test_state_tracks_multiple_params(self):
         a, b = Parameter(np.ones(3)), Parameter(np.ones((2, 2)))

@@ -87,16 +87,6 @@ class TestTrainer:
         restored_val = trainer.validate(windows)
         assert restored_val == pytest.approx(result.best_val_mae, rel=1e-6)
 
-    def test_scheduler_steps_per_epoch(self):
-        from repro import nn
-
-        windows = WindowDataset(DATASET, window=10)
-        model = SVR(window=10, num_categories=4, seed=0)
-        trainer = Trainer(model, lr=0.1, batch_size=4, seed=0)
-        scheduler = nn.StepLR(trainer.optimizer, step_size=1, gamma=0.5)
-        trainer.fit(windows, epochs=3, train_limit=5, scheduler=scheduler)
-        assert trainer.optimizer.lr == pytest.approx(0.1 * 0.5 ** 3)
-
     def test_timed_epoch_positive(self):
         windows = WindowDataset(DATASET, window=10)
         model = SVR(window=10, num_categories=4, seed=0)
