@@ -98,17 +98,16 @@ class HypergraphEncoder(nn.Module):
 
         Without embeddings, returns the static incidence magnitudes
         ``|H|`` normalised per hyperedge.  With day-specific embeddings
-        ``(T, RC, d)``, returns time-aware scores: the contribution
-        magnitude of each node to each hyperedge hub on each day,
-        shape ``(T, H, RC)``.
+        ``(..., RC, d)`` — one window's ``(T, RC, d)`` or a batch's
+        ``(B, T, RC, d)`` — returns time-aware scores: the contribution
+        magnitude of each node to each hyperedge hub on each day, shape
+        ``(..., H, RC)``.
         """
         weights = np.abs(self.incidence.data)
         if node_embeddings is None:
             total = weights.sum(axis=1, keepdims=True)
             return weights / np.maximum(total, 1e-12)
-        with nn.no_grad():
-            emb = node_embeddings.data  # (T, RC, d)
-        strength = np.linalg.norm(emb, axis=-1)  # (T, RC)
-        scores = weights[None, :, :] * strength[:, None, :]
-        total = scores.sum(axis=2, keepdims=True)
+        strength = np.linalg.norm(node_embeddings.data, axis=-1)  # (..., RC)
+        scores = weights * strength[..., None, :]
+        total = scores.sum(axis=-1, keepdims=True)
         return scores / np.maximum(total, 1e-12)

@@ -7,8 +7,9 @@ primitives are re-exported from :mod:`repro.nn.ops` for
 ``conv1d`` and ``conv2d`` call runs the tiled im2col kernel in
 :mod:`repro.nn.kernels`, which fills and contracts the batch-folded
 patch matrix one :data:`~repro.nn.kernels.TILE_BYTES` tile of images or
-sequences at a time (training keeps the full patch matrix for the
-backward).  Paper Eq. 5's shared-kernel time convolution is
+sequences at a time, the same way in both grad modes; the backward
+walks the same tiles again, so no full patch matrix is ever kept.
+Paper Eq. 5's shared-kernel time convolution is
 :func:`repro.nn.ops.time_conv`, not a ``conv1d`` call.
 """
 

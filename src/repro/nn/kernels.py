@@ -1,11 +1,12 @@
-"""The convolution kernel: batch-folded im2col, contracted one tile at a time.
+"""The convolution kernel: batch-folded im2col, walked one tile at a time.
 
 Every :func:`~repro.nn.conv2d` and :func:`~repro.nn.conv1d` call —
 training and inference, float32 and float64 — runs the forward kernel
-for its rank here.  The folded batch
-axis ``N`` (images for 2-D, sequences for 1-D) is cut into tiles of as
-many items as fit one :data:`TILE_BYTES` patch-matrix budget: at least
-one item, and the whole batch when it fits.  For each tile the kernel
+for its rank here, and training runs the backward here too.  The folded
+batch axis ``N`` (images for 2-D, sequences for 1-D) is cut into tiles
+of as many items as fit one :data:`TILE_BYTES` patch-matrix budget: at
+least one item, and the whole batch when it fits.  For each tile the
+forward
 
 1. fills the tile's patch columns, laid out ``(C_in, K, n, L)`` so that,
    read as a ``(C_in*K, n*L)`` matrix, the tile contracts in one
@@ -14,36 +15,42 @@ one item, and the whole batch when it fits.  For each tile the kernel
 3. adds the bias and transposes the product into the tile's
    ``(n, C_out, L)`` block of the output while it is still in cache.
 
-At stride 1 the fill reads straight from the *unpadded* input and writes
-the zero frame in place, so no padded copy is made; strided calls copy
-from a zero-padded copy of the tile.
+The forward is one code path in both grad modes and keeps nothing but
+its output: ``reuse`` only decides whether the tile workspaces and the
+output come from the active :class:`~repro.nn.BufferArena`.  The
+backward walks the same tiles again.  For each tile it
 
-On the no-grad path (``reuse`` set) the tile workspaces come from the
-active :class:`~repro.nn.BufferArena` and every tile reuses them, so
-neither a full patch matrix nor a full ``(C_out, N*L)`` product is ever
-pooled.  During training :mod:`repro.nn.ops` back-propagates through the
-whole patch matrix (both gradients are single gemms over the folded
-layout), so the kernel fills a fresh full ``(C_in, K, N, L)`` matrix —
-tile by tile, with the same tile boundaries and gemm shapes as
-inference.  BLAS picks its blocking by gemm shape, so a tiled product is
-not in general bitwise-equal to an untiled one; cutting the same tiles
-on both paths is what keeps predict bitwise-equal to forward.
+1. copies the tile's output gradient into a ``(C_out, n*L)`` workspace;
+2. refills the tile's patches and adds ``g @ patches.T`` to ``gw``;
+3. writes ``w.T @ g`` into the same patch workspace;
+4. adds that onto the tile's slice of ``gx``, tap by tap — the exact
+   adjoint of the fill.
 
-All operands, the bias included, must share one dtype — the gemms write
-into ``out=`` buffers of that dtype (``ops`` promotes mixed calls first).
+So no full patch matrix is ever held, and ``gx`` adds each input
+position's tap contributions onto zero in tap order whatever the dtype.
+
+Each rank has one tap geometry (:func:`_taps2d`, :func:`_taps1d`): for
+every tap, the clamped range of output positions that read the input and
+the input slice they read, for any stride, padding and dilation.  The
+fill zeroes the output positions outside that range and copies inside
+it; the scatter adds inside it.  Neither makes a padded copy.
+
+BLAS picks its blocking by gemm shape, so a tiled product is not in
+general bitwise-equal to an untiled one; cutting the same tiles on every
+path is what keeps predict bitwise-equal to forward.  All operands, the
+bias included, must share one dtype — the gemms write into ``out=``
+buffers of that dtype (``ops`` promotes mixed calls first).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from .arena import request as _arena_request
-from .tensor import _padded
 
-__all__ = ["TILE_BYTES", "conv1d_gemm", "conv2d_gemm"]
+__all__ = ["TILE_BYTES", "conv1d_gemm", "conv1d_grads", "conv2d_gemm", "conv2d_grads"]
 
 # Patch-matrix bytes per tile.  Swept over 1, 2, 4 and 8 MiB on the two
 # convs of a 16x16, 32-window float32 forecast chunk (2 vCPUs): 4 MiB,
@@ -51,6 +58,12 @@ __all__ = ["TILE_BYTES", "conv1d_gemm", "conv2d_gemm"]
 # fastest and tied on the temporal one, both at about 0.55-0.7x of the
 # untiled kernel's time per call.
 TILE_BYTES = 4 << 20
+
+# One tap's geometry: per spatial axis, the output positions that read
+# the input (``dst``) and the input positions they read (``src``).
+Tap = tuple[tuple[slice, ...], tuple[slice, ...]]
+# The two leading axes of an input or a tap's frame, taken whole.
+_LEAD = (slice(None), slice(None))
 
 
 def _workspace(shape: tuple[int, ...], dtype, reuse: bool) -> np.ndarray:
@@ -62,49 +75,94 @@ def _workspace(shape: tuple[int, ...], dtype, reuse: bool) -> np.ndarray:
     return np.empty(shape, dtype=dtype)
 
 
-def _pad(x: np.ndarray, pad_width, reuse: bool) -> np.ndarray:
-    """Zero-pad ``x`` (arena-pooled on the no-grad path)."""
-    return _padded(x, pad_width) if reuse else np.pad(x, pad_width)
+def _span(size: int, out: int, offset: int, stride: int) -> tuple[slice, slice]:
+    """``(dst, src)`` along one axis: output position ``o`` reads input
+    position ``o * stride + offset``, and those inside ``[0, size)`` are
+    ``dst`` and read ``src``.
+
+    ``dst`` is clamped to ``0 <= start <= stop <= out``, so a tap that
+    lies wholly in the padding gets an empty span (and an empty ``src``)
+    rather than a negative bound, which numpy would count from the end.
+    """
+    lo = min(out, max(0, -(offset // stride)))
+    hi = max(lo, min(out, (size - 1 - offset) // stride + 1))
+    first = lo * stride + offset
+    return slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)
 
 
-def _contract(
+def _taps2d(
+    in_shape: tuple[int, int],
+    out_shape: tuple[int, int],
+    kernel: tuple[int, int],
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+) -> list[Tap]:
+    """The tap geometry of a 2-D kernel, taps in row-major order."""
+    (h, w), (out_h, out_w), (kh, kw) = in_shape, out_shape, kernel
+    rows = [_span(h, out_h, i - padding[0], stride[0]) for i in range(kh)]
+    cols = [_span(w, out_w, j - padding[1], stride[1]) for j in range(kw)]
+    return [((r[0], c[0]), (r[1], c[1])) for r in rows for c in cols]
+
+
+def _taps1d(
+    length: int, out_l: int, k: int, stride: int, padding: int, dilation: int
+) -> list[Tap]:
+    """The tap geometry of a (dilated) 1-D kernel."""
+    spans = [_span(length, out_l, tap * dilation - padding, stride) for tap in range(k)]
+    return [((dst,), (src,)) for dst, src in spans]
+
+
+def _fill(cols: np.ndarray, x: np.ndarray, taps: list[Tap]) -> None:
+    """Write the patches of ``x`` ``(n, C_in, *in)`` into ``cols``
+    ``(C_in, K, n, *out)``: per tap, zero the frame of output positions
+    outside its span, then copy the input the span reads."""
+    for tap, (dst, src) in enumerate(taps):
+        frame = cols[:, tap]
+        inner = _LEAD
+        for span, size in zip(dst, frame.shape[2:]):
+            if span.start > 0:
+                frame[inner + (slice(0, span.start),)].fill(0.0)
+            if span.stop < size:
+                frame[inner + (slice(span.stop, None),)].fill(0.0)
+            inner += (span,)
+        frame[inner] = x[_LEAD + src].swapaxes(0, 1)
+
+
+def _scatter(gx: np.ndarray, gcols: np.ndarray, taps: list[Tap]) -> None:
+    """Add the patch gradient ``gcols`` ``(C_in, K, n, *out)`` onto ``gx``
+    ``(n, C_in, *in)``, tap by tap: the adjoint of :func:`_fill`."""
+    for tap, (dst, src) in enumerate(taps):
+        gx[_LEAD + src] += gcols[(slice(None), tap, slice(None)) + dst].swapaxes(0, 1)
+
+
+def _tile(n: int, rows: int, length: int, itemsize: int) -> int:
+    """Items per tile: as many as fit one :data:`TILE_BYTES` patch matrix."""
+    return max(1, min(n, TILE_BYTES // (rows * length * itemsize)))
+
+
+def _forward(
     x: np.ndarray,
     weight: np.ndarray,
     bias: np.ndarray | None,
     out_shape: tuple[int, ...],
-    fill: Callable[[np.ndarray, np.ndarray], None],
+    taps: list[Tap],
     reuse: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run the tile loop shared by both ranks.
-
-    ``out_shape`` is one item's output geometry and ``fill(cols, x_tile)``
-    writes the patches of ``x_tile`` into ``cols``, shaped
-    ``(C_in, K, n, *out_shape)``.  Returns ``(out, cols)``: ``out`` of
-    shape ``(N, C_out, L)`` and, when training, the full patch matrix the
-    backward contracts against (``None`` on the no-grad path).
-    """
+) -> np.ndarray:
+    """Run the forward tile loop shared by both ranks; returns ``(N, C_out, L)``."""
     n, c_in = x.shape[:2]
     c_out = weight.shape[0]
-    taps = math.prod(weight.shape[2:])
     length = math.prod(out_shape)
-    rows = c_in * taps
-    tile = max(1, min(n, TILE_BYTES // (rows * length * x.itemsize)))
+    rows = c_in * len(taps)
+    tile = _tile(n, rows, length, x.itemsize)
     w_mat = weight.reshape(c_out, rows)
-    if reuse:
-        cols = None
-        workspace = _workspace((rows * tile * length,), x.dtype, reuse)
-    else:
-        cols = np.empty((c_in, taps, n, *out_shape), dtype=x.dtype)
+    patches = _workspace((rows * tile * length,), x.dtype, reuse)
     staging = _workspace((c_out * tile * length,), x.dtype, reuse)
     out = _workspace((n, c_out, length), x.dtype, reuse)
     for start in range(0, n, tile):
         stop = min(start + tile, n)
         size = (stop - start) * length
-        if cols is None:
-            block = workspace[: rows * size].reshape(c_in, taps, stop - start, *out_shape)
-        else:
-            block = cols[:, :, start:stop]
-        fill(block, x[start:stop])
+        block = patches[: rows * size].reshape(c_in, len(taps), stop - start, *out_shape)
+        _fill(block, x[start:stop], taps)
         product = staging[: c_out * size].reshape(c_out, stop - start, length)
         np.matmul(w_mat, block.reshape(rows, size), out=product.reshape(c_out, size))
         if bias is not None:
@@ -113,76 +171,45 @@ def _contract(
             # transposed copy would run L at a time.
             product += bias[:, None, None]
         np.copyto(out[start:stop], product.transpose(1, 0, 2))
-    return out, cols
+    return out
 
 
-def _fill_cols2d(
-    cols: np.ndarray,
+def _backward(
+    grad: np.ndarray,
     x: np.ndarray,
-    kw: int,
-    stride: tuple[int, int],
-    padding: tuple[int, int],
-    reuse: bool,
-) -> None:
-    """Write the patches of ``x`` ``(n, C_in, H, W)`` into ``cols``
-    ``(C_in, KH*KW, n, out_h, out_w)``."""
-    _, taps, _, out_h, out_w = cols.shape
-    _, _, h, w = x.shape
-    ph, pw = padding
-    if stride == (1, 1):
-        # Implicit padding: fill straight from the unpadded input and
-        # write the zero frame in place — saves the whole padding pass.
-        for tap in range(taps):
-            i, j = divmod(tap, kw)
-            di, dj = i - ph, j - pw
-            dst = cols[:, tap]
-            r0, r1 = max(0, -di), min(out_h, h - di)
-            c0, c1 = max(0, -dj), min(out_w, w - dj)
-            if r0 > 0:
-                dst[:, :, :r0, :].fill(0.0)
-            if r1 < out_h:
-                dst[:, :, r1:, :].fill(0.0)
-            if c0 > 0:
-                dst[:, :, r0:r1, :c0].fill(0.0)
-            if c1 < out_w:
-                dst[:, :, r0:r1, c1:].fill(0.0)
-            dst[:, :, r0:r1, c0:c1] = x[:, :, r0 + di : r1 + di, c0 + dj : c1 + dj].transpose(
-                1, 0, 2, 3
-            )
-        return
-    sh, sw = stride
-    x_pad = _pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), reuse) if (ph or pw) else x
-    for tap in range(taps):
-        i, j = divmod(tap, kw)
-        cols[:, tap] = x_pad[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw].transpose(
-            1, 0, 2, 3
-        )
-
-
-def _fill_cols1d(
-    cols: np.ndarray, x: np.ndarray, stride: int, padding: int, dilation: int, reuse: bool
-) -> None:
-    """Write the (dilated) patches of ``x`` ``(n, C_in, L)`` into ``cols``
-    ``(C_in, K, n, out_l)``."""
-    _, k, _, out_l = cols.shape
-    length = x.shape[2]
-    if stride == 1:
-        # Implicit padding (dilation-aware): zero the out-of-range ends in
-        # place and copy the valid span from the unpadded input.
-        for tap in range(k):
-            offset = tap * dilation - padding
-            dst = cols[:, tap]
-            l0, l1 = max(0, -offset), min(out_l, length - offset)
-            if l0 > 0:
-                dst[:, :, :l0].fill(0.0)
-            if l1 < out_l:
-                dst[:, :, l1:].fill(0.0)
-            dst[:, :, l0:l1] = x[:, :, l0 + offset : l1 + offset].transpose(1, 0, 2)
-        return
-    x_pad = _pad(x, ((0, 0), (0, 0), (padding, padding)), reuse) if padding else x
-    for tap in range(k):
-        start = tap * dilation
-        cols[:, tap] = x_pad[:, :, start : start + stride * out_l : stride].transpose(1, 0, 2)
+    weight: np.ndarray,
+    out_shape: tuple[int, ...],
+    taps: list[Tap],
+    need_gx: bool,
+    need_gw: bool,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Walk the forward's tiles again; returns ``(gx, gw)``, each None
+    unless asked for."""
+    n, c_in = x.shape[:2]
+    c_out = weight.shape[0]
+    length = math.prod(out_shape)
+    rows = c_in * len(taps)
+    tile = _tile(n, rows, length, x.itemsize)
+    w_mat = weight.reshape(c_out, rows)
+    grad = grad.reshape(n, c_out, length)
+    patches = np.empty(rows * tile * length, dtype=x.dtype)
+    staging = np.empty(c_out * tile * length, dtype=x.dtype)
+    gx = np.zeros(x.shape, dtype=x.dtype) if need_gx else None
+    gw = np.zeros((c_out, rows), dtype=x.dtype) if need_gw else None
+    for start in range(0, n, tile):
+        stop = min(start + tile, n)
+        size = (stop - start) * length
+        g = staging[: c_out * size].reshape(c_out, stop - start, length)
+        np.copyto(g, grad[start:stop].transpose(1, 0, 2))
+        g = g.reshape(c_out, size)
+        block = patches[: rows * size].reshape(c_in, len(taps), stop - start, *out_shape)
+        if gw is not None:
+            _fill(block, x[start:stop], taps)
+            gw += g @ block.reshape(rows, size).T
+        if gx is not None:
+            np.matmul(w_mat.T, g, out=block.reshape(rows, size))
+            _scatter(gx[start:stop], block, taps)
+    return gx, (gw.reshape(weight.shape) if need_gw else None)
 
 
 def conv2d_gemm(
@@ -194,22 +221,33 @@ def conv2d_gemm(
     out_h: int,
     out_w: int,
     reuse: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """2-D cross-correlation of ``x`` ``(N, C_in, H, W)`` with ``weight``.
 
     ``x`` is the raw *unpadded* input; ``bias`` is ``(C_out,)`` or None;
     ``out_h``/``out_w`` are the output geometry the caller already
-    derived.  Returns ``(out, cols)``: ``out`` of shape
-    ``(N, C_out, out_h * out_w)`` and, when training (``reuse`` unset),
-    the ``(C_in, KH*KW, N, out_h, out_w)`` patch matrix the backward
-    contracts against; ``cols`` is None on the no-grad path.
+    derived.  Returns the output, shaped ``(N, C_out, out_h * out_w)``;
+    with ``reuse`` set, it and the tile workspaces come from the arena.
     """
-    kw = weight.shape[3]
+    out_shape = (out_h, out_w)
+    taps = _taps2d(x.shape[2:], out_shape, weight.shape[2:], stride, padding)
+    return _forward(x, weight, bias, out_shape, taps, reuse)
 
-    def fill(cols, x_tile):
-        _fill_cols2d(cols, x_tile, kw, stride, padding, reuse)
 
-    return _contract(x, weight, bias, (out_h, out_w), fill, reuse)
+def conv2d_grads(
+    grad: np.ndarray,
+    x: np.ndarray,
+    weight: np.ndarray,
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+    need_gx: bool,
+    need_gw: bool,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Input and weight gradients of :func:`conv2d_gemm`, given the output
+    gradient ``grad`` ``(N, C_out, out_h, out_w)``; each is None unless asked for."""
+    out_shape = grad.shape[2:]
+    taps = _taps2d(x.shape[2:], out_shape, weight.shape[2:], stride, padding)
+    return _backward(grad, x, weight, out_shape, taps, need_gx, need_gw)
 
 
 def conv1d_gemm(
@@ -221,15 +259,28 @@ def conv1d_gemm(
     dilation: int,
     out_l: int,
     reuse: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """1-D (dilated) cross-correlation of ``x`` ``(N, C_in, L)`` with ``weight``.
 
-    Same contract as :func:`conv2d_gemm`: returns ``out`` of shape
-    ``(N, C_out, out_l)`` and, when training, the ``(C_in, K, N, out_l)``
-    patch matrix.
+    Same contract as :func:`conv2d_gemm`: returns the ``(N, C_out, out_l)``
+    output.
     """
+    taps = _taps1d(x.shape[2], out_l, weight.shape[2], stride, padding, dilation)
+    return _forward(x, weight, bias, (out_l,), taps, reuse)
 
-    def fill(cols, x_tile):
-        _fill_cols1d(cols, x_tile, stride, padding, dilation, reuse)
 
-    return _contract(x, weight, bias, (out_l,), fill, reuse)
+def conv1d_grads(
+    grad: np.ndarray,
+    x: np.ndarray,
+    weight: np.ndarray,
+    stride: int,
+    padding: int,
+    dilation: int,
+    need_gx: bool,
+    need_gw: bool,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Input and weight gradients of :func:`conv1d_gemm`, given the output
+    gradient ``grad`` ``(N, C_out, out_l)``; each is None unless asked for."""
+    out_l = grad.shape[2]
+    taps = _taps1d(x.shape[2], out_l, weight.shape[2], stride, padding, dilation)
+    return _backward(grad, x, weight, (out_l,), taps, need_gx, need_gw)

@@ -15,7 +15,8 @@ Design notes
 * Gradients of broadcast operands are reduced back to the operand shape by
   :func:`unbroadcast`, mirroring numpy broadcasting semantics exactly.
 * Arrays are stored as ``float64`` by default, which keeps finite-difference
-  gradient checks (see ``tests/nn/test_gradcheck.py``) tight.
+  gradient checks (:func:`repro.nn.gradcheck.gradcheck`, which
+  ``tests/nn/test_ops.py`` runs on every conv geometry) tight.
 * All ambient execution state — the grad flag, the active arena, the
   default dtype — lives in the thread-local
   :class:`~repro.nn.context.ExecutionContext`, so ``no_grad``/

@@ -73,9 +73,6 @@ class WindowDataset:
             return range(s.val_end, s.test_end)
         raise ValueError(f"unknown split {split!r}")
 
-    def num_samples(self, split: str) -> int:
-        return len(self._days(split))
-
     def samples(self, split: str) -> Iterator[WindowSample]:
         """All samples of a split in chronological order.
 

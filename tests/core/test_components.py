@@ -173,6 +173,12 @@ class TestHypergraphEncoder:
         assert np.allclose(rel.sum(axis=2), 1.0)
         # Different days have different embeddings -> different scores.
         assert not np.allclose(rel[0], rel[1])
+        # A batch of windows scores each window as its own call does, with
+        # as many days as hyperedges (T == H) and with fewer.
+        for days in (5, 3):
+            batch = RNG.standard_normal((2, days, 10, 4))
+            expected = np.stack([enc.relevance(Tensor(window)) for window in batch])
+            np.testing.assert_array_equal(enc.relevance(Tensor(batch)), expected)
 
 
 class TestGlobalTemporalEncoder:

@@ -11,6 +11,7 @@ and both as one kernel tile and as several (the ``tiles`` fixture).
 
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,98 @@ class TestConvOutputContract:
         monkeypatch.setattr(kernels, "TILE_BYTES", _two_item_budget(op, arrays, **kwargs))
         tiled = op(*map(Tensor, arrays), **kwargs).data
         np.testing.assert_allclose(tiled, one_tile, **VALUE_TOL[dtype])
+
+
+# Taps wholly in the padding: a conv1d over one step with a 7-tap kernel
+# and padding 3, where six taps read only zeros, and a conv2d over one
+# row with a 3x3 kernel and padding 1, where two kernel rows do.  Over
+# two steps (rows) a 7-tap kernel's outer taps read only zeros too, and
+# their unclamped spans would end at a negative bound that numpy counts
+# from the end of the axis.
+PADDING_ONLY_TAPS = pytest.mark.parametrize(
+    "op,shapes,kwargs,reference",
+    [
+        (
+            conv1d,
+            [(BATCH, 3, 1), (4, 3, 7), (4,)],
+            {"padding": 3},
+            lambda x, w, b: _reference_conv1d(x, w, b, 1, 3, 1),
+        ),
+        (
+            conv2d,
+            [(BATCH, 3, 1, 7), (4, 3, 3, 3), (4,)],
+            {"padding": 1},
+            lambda x, w, b: _reference_conv2d(x, w, b, 1, 1),
+        ),
+        (
+            conv1d,
+            [(BATCH, 3, 2), (4, 3, 7), (4,)],
+            {"padding": 3},
+            lambda x, w, b: _reference_conv1d(x, w, b, 1, 3, 1),
+        ),
+        (
+            conv2d,
+            [(BATCH, 3, 2, 5), (4, 3, 7, 3), (4,)],
+            {"padding": (3, 1)},
+            lambda x, w, b: _reference_conv2d(x, w, b, 1, (3, 1)),
+        ),
+    ],
+    ids=["conv1d", "conv2d", "conv1d_two_steps", "conv2d_two_rows"],
+)
+
+
+class TestPaddingOnlyTaps:
+    """Taps that read only padding contribute zeros, and nothing to the gradients."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @PADDING_ONLY_TAPS
+    def test_matches_reference_on_both_paths(self, tiles, dtype, op, shapes, kwargs, reference):
+        arrays = _arrays(dtype, *shapes)
+        tiles(op, arrays, **kwargs)
+        out = _both_paths(op, arrays, **kwargs)
+        np.testing.assert_allclose(out, reference(*arrays), **VALUE_TOL[dtype])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @PADDING_ONLY_TAPS
+    def test_gradcheck(self, tiles, dtype, op, shapes, kwargs, reference):
+        arrays = _arrays(dtype, *shapes)
+        tiles(op, arrays, **kwargs)
+        gradcheck(
+            lambda x, w, b: op(x, w, b, **kwargs),
+            [Tensor(a, requires_grad=True) for a in arrays],
+            **GRADCHECK_SETTINGS[dtype],
+        )
+
+
+class TestGraphForwardMemory:
+    """The graph-building forward keeps no patch matrix for the backward:
+    the backward refills each tile's patches instead."""
+
+    @pytest.mark.parametrize(
+        "op,shapes,kwargs",
+        [
+            (conv2d, [(BATCH, 4, 6, 6), (2, 4, 3, 3), (2,)], {"padding": 1}),
+            (conv1d, [(BATCH, 4, 16), (2, 4, 3), (2,)], {"padding": 1}),
+        ],
+        ids=["conv2d", "conv1d"],
+    )
+    def test_forward_holds_less_than_one_patch_matrix(self, monkeypatch, op, shapes, kwargs):
+        arrays = _arrays("float64", *shapes)
+        monkeypatch.setattr(kernels, "TILE_BYTES", _two_item_budget(op, arrays, **kwargs))
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        op(*inputs, **kwargs)  # warm up anything a first call allocates once
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op(*inputs, **kwargs)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # (C_in, K, N, L): every batch item's patches, at float64.
+        patch_matrix = math.prod(shapes[1][1:]) * BATCH * math.prod(out.shape[2:]) * 8
+        assert held < patch_matrix
+        out.sum().backward()
+        assert all(t.grad is not None for t in inputs)
 
 
 GRAD_MODES = pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])

@@ -102,7 +102,7 @@ def _ha_evaluation():
 class TestEvaluation:
     def test_result_shapes(self):
         result = _ha_evaluation()
-        num_test = WindowDataset(DATASET, window=10).num_samples("test")
+        num_test = len(list(WindowDataset(DATASET, window=10).samples("test")))
         assert result.predictions.shape == (num_test, 16, 4)
         assert result.targets.shape == result.predictions.shape
 
