@@ -28,8 +28,7 @@ PAPER_STHSL = {
 def _run_city(city: str):
     # Every row — the fifteen baselines and ST-HSL — is one RunSpec
     # fitted and evaluated as a Forecaster, the path `repro train` takes
-    # (models whose specs advertise supports_batching train with batched
-    # steps, the rest per sample).
+    # (one batched step per batch for every model).
     data = dataset(city)
     return {
         name: run_spec(city, name).forecaster().fit(data).evaluate(data).per_category()

@@ -4,7 +4,7 @@ Three pieces make every entry point (CLI, benchmarks, examples, future
 serving layers) speak the same language:
 
 * **Model registry** — :data:`REGISTRY` maps names to :class:`ModelSpec`
-  entries (builder + capability flags).  ST-HSL and all fifteen Table III
+  entries (builder + ``requires_training``).  ST-HSL and all fifteen Table III
   baselines are registered; adding a model is one decorator, after which
   the CLI, the comparison benches and the estimator can all run it.
 * **Forecaster estimator** — :class:`Forecaster` wraps model + trainer +
@@ -39,7 +39,7 @@ Train, save, reload — no flags to match on the way back in::
 Enumerate and build any registered model::
 
     for spec in REGISTRY:
-        print(spec.name, spec.requires_training, spec.supports_batching)
+        print(spec.name, spec.requires_training)
     model = REGISTRY.build("STGCN", dataset=dataset, window=14, hidden=8)
 
 Describe a whole run as one value, then run it as a forecaster::

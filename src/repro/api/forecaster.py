@@ -154,9 +154,10 @@ class Forecaster:
     def predict(self, window: np.ndarray) -> np.ndarray:
         """Expected next-day counts from a raw count history.
 
-        ``window`` is ``(R, W, C)`` — or a stacked ``(B, R, W, C)`` batch,
-        which takes the model's vectorized path when its spec supports
-        batching.  Normalization uses the statistics learned at fit time
+        ``window`` is ``(R, W, C)`` — or a stacked ``(B, R, W, C)`` batch.
+        Either runs through the model's graph-free ``predict_batch``
+        (no_grad + the model's buffer arena), a single window as a stack
+        of one.  Normalization uses the statistics learned at fit time
         (or restored from the artifact), and the output is denormalized
         back to counts, floored at zero.
         """
@@ -166,18 +167,9 @@ class Forecaster:
             raise ValueError(f"expected a (R, W, C) window or (B, R, W, C) batch, got {window.shape}")
         normalized = (window - self.mu) / self.sigma
         if window.ndim == 4:
-            if hasattr(self.model, "predict_batch"):
-                # Graph-free fast path: no_grad + the model's buffer arena,
-                # vectorized when the spec supports batching (and a
-                # per-sample loop under the same arena otherwise).  Every
-                # built-in model has predict_batch; the fallback covers
-                # third-party registry entries that don't subclass
-                # ForecastModel.
-                out = self.model.predict_batch(normalized)
-            else:
-                out = np.stack([self.model.predict(sample) for sample in normalized])
+            out = self.model.predict_batch(normalized)
         else:
-            out = self.model.predict(normalized)
+            out = self.model.predict_batch(normalized[None])[0]
         return np.maximum(out * self.sigma + self.mu, 0.0)
 
     def predict_batch(self, windows: np.ndarray, batch_size: int | None = None) -> np.ndarray:

@@ -6,8 +6,9 @@ baselines plus the historical-average reference — is described by a
 module-level :data:`REGISTRY` with the :meth:`ModelRegistry.register`
 decorator.  Consumers (CLI, benchmarks, the :class:`~repro.api.Forecaster`
 estimator) resolve names through the registry instead of hardcoded
-``if name == ...`` chains, and capability flags (``requires_training``,
-``supports_batching``) replace duck-typed probing where a spec is in hand.
+``if name == ...`` chains.  Every built model trains and predicts through
+the batched methods (``training_loss_batch``/``predict_batch``), so the
+one capability a spec records is ``requires_training``.
 
 Builders construct models from a :class:`ModelGeometry` — the minimal
 description of the data a model must fit (grid shape and category count)
@@ -115,19 +116,15 @@ class ModelSpec:
 
     ``requires_training`` — whether the gradient loop applies (statistical
     methods like ARIMA fit at prediction time and skip it entirely).
-    ``supports_batching`` — whether the model implements the batched duck
-    type (``training_loss_batch``/``predict_batch``) so the trainer can run
-    one vectorized step per batch instead of per-sample accumulation.
     Example::
 
         spec = REGISTRY.spec("ST-HSL")
-        assert spec.supports_batching and spec.requires_training
+        assert spec.requires_training
     """
 
     name: str
     builder: Builder = field(repr=False)
     requires_training: bool = True
-    supports_batching: bool = False
     description: str = ""
 
     def build(self, geometry: ModelGeometry, window: int, hidden: int = 16, seed: int = 0, **overrides):
@@ -143,11 +140,16 @@ class ModelRegistry:
     to the CLI, the benchmarks and the :class:`~repro.api.Forecaster`
     at once::
 
-        @REGISTRY.register("MyModel", supports_batching=True)
+        @REGISTRY.register("MyModel")
         def _build(geometry, *, window, hidden, seed, **overrides):
             return MyModel(geometry.rows, geometry.cols, hidden, seed=seed)
 
         model = REGISTRY.build("MyModel", geometry=geometry, window=14)
+
+    The trainer, the estimator and the ``shapes`` lint pass call only a
+    model's batched methods, so a new model subclasses
+    :class:`~repro.training.interface.ForecastModel` and implements
+    ``forward`` or ``forward_batch``.
     """
 
     def __init__(self) -> None:
@@ -161,7 +163,6 @@ class ModelRegistry:
         name: str,
         *,
         requires_training: bool = True,
-        supports_batching: bool = False,
         description: str = "",
     ) -> Callable[[Builder], Builder]:
         """Decorator registering ``fn(geometry, *, window, hidden, seed, **ov)``."""
@@ -173,7 +174,6 @@ class ModelRegistry:
                 name=name,
                 builder=builder,
                 requires_training=requires_training,
-                supports_batching=supports_batching,
                 description=description,
             )
             return builder
@@ -236,7 +236,6 @@ REGISTRY = ModelRegistry()
 # ----------------------------------------------------------------------
 @REGISTRY.register(
     "ST-HSL",
-    supports_batching=True,
     description="Spatial-Temporal Hypergraph Self-Supervised Learning (this paper)",
 )
 def _build_sthsl(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
@@ -273,29 +272,29 @@ def _build_st_resnet(geometry: ModelGeometry, *, window: int, hidden: int, seed:
     )
 
 
-@REGISTRY.register("DCRNN", supports_batching=True, description="diffusion-convolutional RNN")
+@REGISTRY.register("DCRNN", description="diffusion-convolutional RNN")
 def _build_dcrnn(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
     return DCRNN(geometry.adjacency(), geometry.num_categories, hidden=hidden, seed=seed, **overrides)
 
 
-@REGISTRY.register("STGCN", supports_batching=True, description="sandwich ST-Conv blocks over the region graph")
+@REGISTRY.register("STGCN", description="sandwich ST-Conv blocks over the region graph")
 def _build_stgcn(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
     return STGCN(
         geometry.normalized_adjacency(), geometry.num_categories, window, hidden=hidden, seed=seed, **overrides
     )
 
 
-@REGISTRY.register("GWN", supports_batching=True, description="Graph WaveNet: adaptive adjacency + dilated TCN")
+@REGISTRY.register("GWN", description="Graph WaveNet: adaptive adjacency + dilated TCN")
 def _build_gwn(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
     return GraphWaveNet(geometry.adjacency(), geometry.num_categories, hidden=hidden, seed=seed, **overrides)
 
 
-@REGISTRY.register("STtrans", supports_batching=True, description="spatial-temporal transformer for sparse crime")
+@REGISTRY.register("STtrans", description="spatial-temporal transformer for sparse crime")
 def _build_sttrans(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
     return STtrans(geometry.num_regions, geometry.num_categories, window, dim=hidden, seed=seed, **overrides)
 
 
-@REGISTRY.register("DeepCrime", supports_batching=True, description="attentive recurrent crime predictor")
+@REGISTRY.register("DeepCrime", description="attentive recurrent crime predictor")
 def _build_deepcrime(geometry: ModelGeometry, *, window: int, hidden: int, seed: int, **overrides):
     return DeepCrime(geometry.num_regions, geometry.num_categories, hidden=hidden, seed=seed, **overrides)
 

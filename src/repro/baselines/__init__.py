@@ -1,10 +1,11 @@
 """``repro.baselines`` — the fifteen comparison models of Table III.
 
 This package holds the model classes; build them by name through the
-:data:`repro.api.REGISTRY` model registry, whose specs also carry their
-capabilities (``requires_training``, ``supports_batching``).  Names
-match the paper's Table III rows (``BASELINE_NAMES`` keeps the row
-order).
+:data:`repro.api.REGISTRY` model registry, whose specs also record
+whether a model trains (``requires_training``).  Every class subclasses
+:class:`~repro.training.interface.ForecastModel` and implements either
+a per-window ``forward`` or a vectorised ``forward_batch``.  Names match
+the paper's Table III rows (``BASELINE_NAMES`` keeps the row order).
 """
 
 from __future__ import annotations

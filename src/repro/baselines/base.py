@@ -22,7 +22,7 @@ class StatisticalBaseline(ForecastModel):
     """Base for per-series statistical methods (no gradient training).
 
     Subclasses implement :meth:`predict_series` for a single univariate
-    history; :meth:`predict` maps it over every (region, category) pair.
+    history; :meth:`forward` maps it over every (region, category) pair.
     Their registry specs say ``requires_training=False``, so
     :meth:`repro.api.Forecaster.fit` skips the gradient loop.  These
     models own no parameters at all — the optimiser and trainer tolerate
@@ -32,18 +32,15 @@ class StatisticalBaseline(ForecastModel):
     def predict_series(self, series: np.ndarray) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def predict(self, window: np.ndarray) -> np.ndarray:
+    def forward(self, window: np.ndarray) -> Tensor:
         regions, _, categories = window.shape
         out = np.empty((regions, categories))
         for r in range(regions):
             for c in range(categories):
                 out[r, c] = self.predict_series(window[r, :, c])
-        return out
+        return Tensor(out)
 
-    def forward(self, window: np.ndarray) -> Tensor:
-        return Tensor(self.predict(window))
-
-    def training_loss(self, window: np.ndarray, target: np.ndarray) -> Tensor:
+    def training_loss_batch(self, windows: np.ndarray, targets: np.ndarray) -> Tensor:
         """Statistical baselines have nothing to optimise."""
         return Tensor(np.zeros(()), requires_grad=False)
 

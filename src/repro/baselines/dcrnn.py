@@ -9,10 +9,9 @@ final hidden state to the next-day prediction.
 Batched-native: the diffusion convolution and the DCGRU cell operate on
 trailing dimensions of ``(..., R, d)`` states, so a stacked
 ``(B, R, W, C)`` batch runs the recurrence once over ``(B, R, ·)``
-hidden states (the supports broadcast over the batch axis) and the
-per-sample ``forward`` is a ``B=1`` wrapper.  The duck type
-(``training_loss_batch``/``predict_batch``) puts DCRNN on the trainer's
-vectorized path.
+hidden states (the supports broadcast over the batch axis);
+``ForecastModel`` derives the per-sample ``forward`` and the MSE
+objective from ``forward_batch``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 
 from .. import nn
 from ..nn import Tensor
-from ..nn import functional as F
 from ..training.interface import ForecastModel
 
 __all__ = ["DCRNN", "random_walk_supports"]
@@ -92,13 +90,6 @@ class DCRNN(ForecastModel):
         self.cell = _DCGRUCell(num_categories, hidden, supports, k_hops, rng)
         self.head = nn.Linear(hidden, num_categories, rng)
 
-    def forward(self, window: np.ndarray) -> Tensor:
-        """``(R, W, C)`` history -> ``(R, C)`` prediction (B=1 wrapper)."""
-        window = np.asarray(window)
-        if window.ndim != 3:
-            raise ValueError(f"expected a (R, W, C) window, got shape {window.shape}")
-        return self.forward_batch(window[None]).squeeze(0)
-
     def forward_batch(self, windows: np.ndarray) -> Tensor:
         """``(B, R, W, C)`` stacked histories -> ``(B, R, C)`` predictions."""
         windows = np.asarray(windows)
@@ -109,9 +100,3 @@ class DCRNN(ForecastModel):
         for t in range(steps):
             h = self.cell(Tensor(windows[:, :, t, :]), h)
         return self.head(h)
-
-    def training_loss_batch(self, windows: np.ndarray, targets: np.ndarray) -> Tensor:
-        """Mean MSE over a stacked batch; its gradient equals the average of
-        per-sample ``training_loss`` gradients, so batched and sequential
-        trainer paths take identical optimizer steps."""
-        return F.mse_loss(self.forward_batch(windows), targets, reduction="mean")

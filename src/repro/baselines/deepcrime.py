@@ -7,10 +7,8 @@ hidden states with learned weights before the prediction head.
 
 Batched-native: ``forward_batch`` folds a stacked ``(B, R, W, C)`` batch
 into the GRU's sample axis (``B*R`` sequences in one unrolled pass), the
-attention and head operate on trailing dimensions, and the per-sample
-``forward`` is a ``B=1`` wrapper — the same duck type
-(``training_loss_batch``/``predict_batch``) as ST-HSL and STGCN, putting
-DeepCrime on the trainer's vectorized path.
+attention and head operate on trailing dimensions; ``ForecastModel``
+derives the per-sample ``forward`` and the MSE objective from it.
 """
 
 from __future__ import annotations
@@ -48,13 +46,6 @@ class DeepCrime(ForecastModel):
         self.attn_vector = nn.Parameter(nn.init.xavier_uniform((hidden, 1), rng))
         self.head = nn.Linear(hidden, num_categories, rng)
 
-    def forward(self, window: np.ndarray) -> Tensor:
-        """``(R, W, C)`` history -> ``(R, C)`` prediction (B=1 wrapper)."""
-        window = np.asarray(window)
-        if window.ndim != 3:
-            raise ValueError(f"expected a (R, W, C) window, got shape {window.shape}")
-        return self.forward_batch(window[None]).squeeze(0)
-
     def forward_batch(self, windows: np.ndarray) -> Tensor:
         """``(B, R, W, C)`` stacked histories -> ``(B, R, C)`` predictions."""
         windows = np.asarray(windows)
@@ -74,9 +65,3 @@ class DeepCrime(ForecastModel):
         weights = F.softmax(scores, axis=1)
         context = (states * weights).sum(axis=1)  # (B*R, hidden)
         return self.head(context).reshape(b, r, c)
-
-    def training_loss_batch(self, windows: np.ndarray, targets: np.ndarray) -> Tensor:
-        """Mean MSE over a stacked batch; its gradient equals the average of
-        per-sample ``training_loss`` gradients, so batched and sequential
-        trainer paths take identical optimizer steps."""
-        return F.mse_loss(self.forward_batch(windows), targets, reduction="mean")

@@ -8,9 +8,8 @@ supports, plus skip connections into the output head.
 Batched-native: every layer operates on stacked ``(B, R, ch, T)`` inputs
 — the temporal convolutions fold batch and region into their sample
 axis, the graph mixing broadcasts the ``(R, R)`` supports over batch and
-time — and the per-sample ``forward`` is a ``B=1`` wrapper.  The duck
-type (``training_loss_batch``/``predict_batch``) puts Graph WaveNet on
-the trainer's vectorized path.
+time — and ``ForecastModel`` derives the per-sample ``forward`` and the
+MSE objective from ``forward_batch``.
 """
 
 from __future__ import annotations
@@ -81,13 +80,6 @@ class GraphWaveNet(ForecastModel):
         scores = (self.source_embed @ self.target_embed.T).relu()
         return F.softmax(scores, axis=-1)
 
-    def forward(self, window: np.ndarray) -> Tensor:
-        """``(R, W, C)`` history -> ``(R, C)`` prediction (B=1 wrapper)."""
-        window = np.asarray(window)
-        if window.ndim != 3:
-            raise ValueError(f"expected a (R, W, C) window, got shape {window.shape}")
-        return self.forward_batch(window[None]).squeeze(0)
-
     def forward_batch(self, windows: np.ndarray) -> Tensor:
         """``(B, R, W, C)`` stacked histories -> ``(B, R, C)`` predictions."""
         windows = np.asarray(windows)
@@ -100,9 +92,3 @@ class GraphWaveNet(ForecastModel):
             x, skip = layer(x, supports)
             skip_total = skip if skip_total is None else skip_total + skip
         return self.head(skip_total.relu())
-
-    def training_loss_batch(self, windows: np.ndarray, targets: np.ndarray) -> Tensor:
-        """Mean MSE over a stacked batch; its gradient equals the average of
-        per-sample ``training_loss`` gradients, so batched and sequential
-        trainer paths take identical optimizer steps."""
-        return F.mse_loss(self.forward_batch(windows), targets, reduction="mean")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn import Tensor
 from .base import StatisticalBaseline
 
 __all__ = ["HistoricalAverage"]
@@ -29,7 +30,7 @@ class HistoricalAverage(StatisticalBaseline):
             series = series[-self.lookback :]
         return float(np.mean(series))
 
-    def predict(self, window: np.ndarray) -> np.ndarray:
+    def forward(self, window: np.ndarray) -> Tensor:
         # Vectorised override: mean over the time axis.
         slice_ = window if self.lookback is None else window[:, -self.lookback :, :]
-        return slice_.mean(axis=1)
+        return Tensor(slice_.mean(axis=1))

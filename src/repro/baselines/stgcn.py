@@ -9,9 +9,8 @@ paper's comparison setup.
 All encoders are batched-native: ``forward_batch`` runs a stacked
 ``(B, R, W, C)`` batch in one vectorized pass (the temporal convolutions
 fold batch and region into their sample axis; the graph convolution
-broadcasts over batch and time), and the per-sample ``forward`` is a
-``B=1`` wrapper.  Exposing ``training_loss_batch``/``predict_batch``
-puts STGCN on the trainer's batched path, like ST-HSL.
+broadcasts over batch and time); ``ForecastModel`` derives the
+per-sample ``forward`` and the MSE objective from it.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 
 from .. import nn
 from ..nn import Tensor
-from ..nn import functional as F
 from ..training.interface import ForecastModel
 from .base import GatedTemporalConv, GraphConv
 
@@ -68,13 +66,6 @@ class STGCN(ForecastModel):
         )
         self.head = nn.Linear(hidden, num_categories, rng)
 
-    def forward(self, window: np.ndarray) -> Tensor:
-        """``(R, W, C)`` history -> ``(R, C)`` prediction (B=1 wrapper)."""
-        window = np.asarray(window)
-        if window.ndim != 3:
-            raise ValueError(f"expected a (R, W, C) window, got shape {window.shape}")
-        return self.forward_batch(window[None]).squeeze(0)
-
     def forward_batch(self, windows: np.ndarray) -> Tensor:
         """``(B, R, W, C)`` stacked histories -> ``(B, R, C)`` predictions."""
         windows = np.asarray(windows)
@@ -86,9 +77,3 @@ class STGCN(ForecastModel):
             x = block(x)
         pooled = x.mean(axis=3)  # (B, R, hidden)
         return self.head(pooled)
-
-    def training_loss_batch(self, windows: np.ndarray, targets: np.ndarray) -> Tensor:
-        """Mean MSE over a stacked batch — the mean over samples equals the
-        average of per-sample ``training_loss`` gradients, so the batched
-        and sequential trainer paths take identical optimizer steps."""
-        return F.mse_loss(self.forward_batch(windows), targets, reduction="mean")

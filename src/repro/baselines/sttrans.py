@@ -8,10 +8,8 @@ days), with layer normalisation and feed-forward sublayers.
 Batched-native: ``forward_batch`` folds a stacked ``(B, R, W, C)`` batch
 into the attention batch axis — temporal layers see ``(B*R, W, dim)``
 sequences, spatial layers ``(B*W, R, dim)`` — so one vectorized pass
-replaces B per-sample forwards, and the per-sample ``forward`` is a
-``B=1`` wrapper.  Same duck type
-(``training_loss_batch``/``predict_batch``) as ST-HSL, STGCN and
-DeepCrime, putting STtrans on the trainer's vectorized path.
+replaces B per-sample forwards; ``ForecastModel`` derives the
+per-sample ``forward`` and the MSE objective from it.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import numpy as np
 
 from .. import nn
 from ..nn import Tensor
-from ..nn import functional as F
 from ..training.interface import ForecastModel
 
 __all__ = ["STtrans"]
@@ -63,13 +60,6 @@ class STtrans(ForecastModel):
         self.temporal_layer2 = _TransformerLayer(dim, heads, rng)
         self.head = nn.Linear(dim, num_categories, rng)
 
-    def forward(self, window: np.ndarray) -> Tensor:
-        """``(R, W, C)`` history -> ``(R, C)`` prediction (B=1 wrapper)."""
-        window = np.asarray(window)
-        if window.ndim != 3:
-            raise ValueError(f"expected a (R, W, C) window, got shape {window.shape}")
-        return self.forward_batch(window[None]).squeeze(0)
-
     def forward_batch(self, windows: np.ndarray) -> Tensor:
         """``(B, R, W, C)`` stacked histories -> ``(B, R, C)`` predictions.
 
@@ -101,9 +91,3 @@ class STtrans(ForecastModel):
         h = self.spatial_layer2(h.reshape(b * w, r, self.dim))
         h = h.reshape(b, w, r, self.dim).transpose(0, 2, 1, 3)  # (B, R, W, dim)
         return self.head(h.mean(axis=2))
-
-    def training_loss_batch(self, windows: np.ndarray, targets: np.ndarray) -> Tensor:
-        """Mean MSE over a stacked batch; its gradient equals the average
-        of per-sample ``training_loss`` gradients, so batched and
-        sequential trainer paths take identical optimizer steps."""
-        return F.mse_loss(self.forward_batch(windows), targets, reduction="mean")

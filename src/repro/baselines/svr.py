@@ -44,10 +44,11 @@ class SVR(ForecastModel):
         per_cat = (x.transpose(0, 2, 1) * self.weight).sum(axis=-1)  # (R, C)
         return per_cat + self.bias
 
-    def training_loss(self, window: np.ndarray, target: np.ndarray) -> Tensor:
-        """Primal SVR objective: eps-insensitive loss + (C_reg/2)·‖w‖²."""
-        pred = self.forward(window)
-        err = (pred - Tensor(np.asarray(target))).abs()
+    def training_loss_batch(self, windows: np.ndarray, targets: np.ndarray) -> Tensor:
+        """Primal SVR objective: eps-insensitive loss (mean over the stack)
+        + (C_reg/2)·‖w‖², regularised once per optimizer step."""
+        pred = self.forward_batch(windows)
+        err = (pred - Tensor(np.asarray(targets))).abs()
         hinge = (err - self.epsilon).relu().mean()
         reg = (self.weight * self.weight).sum() * (self.c_reg / 2.0)
         return hinge + reg

@@ -1,21 +1,26 @@
 """The ``shapes`` pass: run every registered model on one fixed geometry.
 
 Every :class:`~repro.api.registry.ModelSpec` is built at :data:`GEOMETRY`,
-a 5x7 grid, and its real ``forward`` / ``forward_batch`` run on seeded
-random inputs under ``nn.no_grad`` with no arena (the serving path's
-ambient state), in native mode and in float32 mode.  Every dimension
-of that geometry differs from every other (rows 5, cols 7, R = 35,
-window T = 11, C = 3, hidden 26, batch B = 2 and 13), so code that
-transposes two axes, reads a size from the wrong dim or broadcasts two
-different dims fails outright instead of passing by numeric coincidence.
+a 5x7 grid, and its real ``forward_batch`` (the one forward every caller
+runs) is run on seeded random inputs under ``nn.no_grad`` with no arena
+(the serving path's ambient state), in native mode and in float32 mode.
+Every dimension of that geometry differs from every other (rows 5, cols
+7, R = 35, window T = 11, C = 3, hidden 26, batch B = 2 and 13), so
+code that transposes two axes, reads a size from the wrong dim,
+broadcasts two different dims or hard-codes a batch size fails outright
+instead of passing by numeric coincidence.  For a per-sample model this
+checks its ``forward`` through ``ForecastModel``'s default
+``forward_batch`` too.
 
 Checks per (model, mode):
 
 ``shape``
-    ``forward`` on an ``(R, T, C)`` window must yield a floating
-    ``(R, C)``; ``forward_batch`` on ``(B, R, T, C)`` must yield
-    ``(B, R, C)``.  A builder or forward that raises is a shape problem
-    too, reported with the exception text and the line that raised.
+    ``forward_batch`` on ``(B, R, T, C)`` must yield a floating
+    ``(B, R, C)``.  A model with no ``forward_batch`` is a shape problem,
+    and so is a builder or forward that raises, reported with the
+    exception text and the line that raised (a ``ForecastModel``
+    subclass that implements neither ``forward`` nor ``forward_batch``
+    raises ``RecursionError``: its two defaults call each other).
 ``broadcast``
     A forward raised numpy's broadcast ``ValueError``: two different
     dims met in one elementwise op.
@@ -23,11 +28,6 @@ Checks per (model, mode):
     In float32 mode, the output is not float32, or a float64 array
     reached ``Tensor._from_array`` (every no-grad op result passes
     through it) during the forward.
-``capability``
-    ``supports_batching=True`` must be backed by a ``forward_batch``
-    that passes at both batch sizes (a hard-coded batch size fails the
-    other one); conversely a model shipping ``forward_batch`` must
-    declare the flag.
 
 Float32 mode mirrors ``Forecaster.load``: ``spec.build(...,
 compute_dtype="float32")``, and a builder that rejects the knob
@@ -38,8 +38,7 @@ reaches ``Tensor._from_array`` or the output (inside one primitive, or
 in raw-numpy model code) leaves no trace a concrete run can see.
 
 Problems convert into lint findings anchored at the model's
-``@REGISTRY.register(...)`` line, where the contract (name + capability
-flags) is declared.
+``@REGISTRY.register(...)`` line, where the model is declared.
 """
 
 from __future__ import annotations
@@ -118,7 +117,6 @@ _KIND_TO_RULE = {
     "shape": "model-shape-contract",
     "dtype-leak": "dtype-promotion-leak",
     "broadcast": "broadcast-surprise",
-    "capability": "capability-flag-drift",
 }
 
 _NAME_RE = re.compile(r'"([^"]+)"')
@@ -155,7 +153,7 @@ def registration_lines(root: Path) -> tuple[str, dict[str, int]]:
 class Problem:
     """One contract violation found for a (model, mode) combination."""
 
-    kind: str  # shape | dtype-leak | broadcast | capability
+    kind: str  # shape | dtype-leak | broadcast
     model: str
     mode: str  # native | float32
     message: str
@@ -265,33 +263,19 @@ def check_model(spec, *, mode: str = "native") -> ModelReport:
             report.add("shape", f"builder raised {_raised(exc)}")
         return report
     model.eval()
-
-    rng = np.random.default_rng(0)
-    window = rng.standard_normal((g.regions, g.window, g.categories))
-    _run(report, g, "forward", model.forward, window, (g.regions, g.categories))
-
     forward_batch = getattr(model, "forward_batch", None)
-    if mode == "native":
-        if spec.supports_batching and forward_batch is None:
-            report.add("capability", "supports_batching=True but the model has no forward_batch")
-        elif not spec.supports_batching and forward_batch is not None:
-            report.add(
-                "capability",
-                "model implements forward_batch but the spec declares supports_batching=False",
-            )
     if forward_batch is None:
+        report.add(
+            "shape",
+            f"{type(model).__name__} has no forward_batch; subclass "
+            "repro.training.interface.ForecastModel",
+        )
         return report
+    rng = np.random.default_rng(0)
     for b in g.batch_sizes:
         windows = rng.standard_normal((b, g.regions, g.window, g.categories))
-        before = len(report.problems)
         expected = (b, g.regions, g.categories)
         _run(report, g, f"forward_batch(B={b})", forward_batch, windows, expected)
-        if spec.supports_batching:
-            # Reclassify: a broken batch path falsifies the flag.
-            for problem in report.problems[before:]:
-                if problem.kind == "shape":
-                    problem.kind = "capability"
-                    problem.message = "supports_batching=True is not honoured: " + problem.message
     return report
 
 
@@ -308,7 +292,7 @@ class ShapeCheckPass(Pass):
 
     id = "shapes"
     description = (
-        "run every registered model's forward/forward_batch on a 5x7 grid "
+        "run every registered model's forward_batch on a 5x7 grid "
         "(R=35, T=11, C=3, B=2 and 13) in native and float32 modes"
     )
     hint = (
@@ -318,8 +302,8 @@ class ShapeCheckPass(Pass):
     )
     emits = {
         "model-shape-contract": (
-            "a model's builder, forward or forward_batch raises, or breaks "
-            "the (R, C) / (B, R, C) floating output contract"
+            "a model's builder or forward_batch raises or is missing, or "
+            "breaks the (B, R, C) floating output contract"
         ),
         "dtype-promotion-leak": (
             "a float32-mode forward returns non-float32 output or produces "
@@ -328,10 +312,6 @@ class ShapeCheckPass(Pass):
         "broadcast-surprise": (
             "a forward broadcasts two different dims together (numpy "
             "raises once every dim of the check geometry differs)"
-        ),
-        "capability-flag-drift": (
-            "a ModelSpec capability flag disagrees with what the model "
-            "actually implements"
         ),
     }
 

@@ -1,11 +1,10 @@
-"""Model pool: lazy artifact loading with an LRU + pin policy.
+"""Model pool: lazy artifact loading with an LRU policy.
 
 A serving process cannot afford to ``Forecaster.load`` on every request,
 nor to keep every checkpoint it has ever seen in memory.  The
 :class:`ModelPool` sits between the two: artifacts load lazily on first
 use, stay resident while hot, and the least-recently-used entry is
-evicted when the pool exceeds its capacity.  Entries serving
-latency-critical traffic can be pinned so eviction never touches them.
+evicted when the pool exceeds its capacity.
 
 Buffer arenas are recycled *across* pool entries: when a model is
 evicted, its inference :class:`~repro.nn.BufferArena` (the byte slabs
@@ -25,7 +24,7 @@ from pathlib import Path
 from ..api import Forecaster
 from ..api.artifacts import check_served_dtype
 from ..api.registry import REGISTRY, ModelRegistry
-from .errors import ArtifactLoadError, ServingError
+from .errors import ArtifactLoadError
 from .resilience import RetryPolicy
 
 __all__ = ["ModelPool", "PoolStats"]
@@ -53,7 +52,6 @@ class PoolStats:
     hits: int
     evictions: int
     arena_handoffs: int
-    pinned: tuple[str, ...]
     load_failures: int = 0
     quarantined: tuple[str, ...] = field(default=())
 
@@ -66,9 +64,8 @@ class ModelPool:
         pool = ModelPool(capacity=2, served_dtype="float32")
         fc = pool.get("nyc.npz")        # loads (in float32 serving mode)
         fc = pool.get("nyc.npz")        # hit — same object, no disk I/O
-        pool.pin("nyc.npz")             # never evicted
         pool.get("chicago.npz")
-        pool.get("sf.npz")              # evicts the LRU unpinned entry
+        pool.get("sf.npz")              # evicts the LRU entry, nyc.npz
 
     ``served_dtype`` is the pool-wide serving policy: the deployment
     operator's choice, applied to every load and *overriding* any
@@ -118,7 +115,6 @@ class ModelPool:
         self.quarantine_cooldown = quarantine_cooldown
         self._fault_hook = fault_hook
         self._entries: dict[str, Forecaster] = {}  # insertion order = LRU order
-        self._pinned: set[str] = set()
         self._quarantine: dict[str, tuple[float, BaseException]] = {}
         self._spare_arenas: list = []
         self._lock = threading.RLock()
@@ -199,51 +195,13 @@ class ModelPool:
             return forecaster
 
     def _evict_to_capacity_locked(self) -> None:
-        # LRU = insertion order; the victim is the oldest unpinned entry.
-        # When every *other* entry is pinned, the newest entry itself is
-        # dropped (cache bypass): the caller still gets its forecaster,
-        # the pool just cannot retain it.
+        # LRU = insertion order; the victim is the oldest entry.
         while len(self._entries) > self.capacity:
-            victim = next(
-                (key for key in self._entries if key not in self._pinned), None
-            )
-            if victim is None:  # pragma: no cover - pinned set exceeds capacity
-                return
-            evicted = self._entries.pop(victim)
+            evicted = self._entries.pop(next(iter(self._entries)))
             arena = evicted.model.release_arena()
             if arena is not None:
                 self._spare_arenas.append(arena)
             self._evictions += 1
-
-    # ------------------------------------------------------------------
-    # Pinning
-    # ------------------------------------------------------------------
-    def pin(self, path: str | Path) -> Forecaster:
-        """Load (if needed) and mark ``path`` as never-evict.
-
-        Returns the forecaster, so ``pool.pin(p)`` doubles as a warm-up::
-
-            primary = pool.pin("sthsl.npz")
-
-        Raises :class:`~repro.serving.ServingError` (a ``RuntimeError``)
-        when the pool is already full of pinned entries — a pin that
-        could never be honoured.
-        """
-        with self._lock:
-            forecaster = self.get(path)
-            key = self._key(path)
-            if key not in self._entries:
-                raise ServingError(
-                    f"cannot pin {path}: the pool's {self.capacity} slots are "
-                    "all pinned already; unpin something or raise capacity"
-                )
-            self._pinned.add(key)
-            return forecaster
-
-    def unpin(self, path: str | Path) -> None:
-        """Make ``path`` evictable again (no-op if it was not pinned)."""
-        with self._lock:
-            self._pinned.discard(self._key(path))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -274,7 +232,6 @@ class ModelPool:
                 hits=self._hits,
                 evictions=self._evictions,
                 arena_handoffs=self._arena_handoffs,
-                pinned=tuple(sorted(self._pinned)),
                 load_failures=self._load_failures,
                 quarantined=cooling,
             )

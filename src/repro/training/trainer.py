@@ -4,11 +4,11 @@ Implements Algorithm 1 of the paper generically: every model (ST-HSL or
 baseline) is optimised with Adam under an identical budget, which keeps
 the Table III comparison like-for-like.  Windows are visited in random
 order, ``batch_size`` per optimizer step (the paper searches batch size
-in {4, 8, 16, 32}): models with a batched forward run each step as one
-vectorized pass over a stacked ``(B, R, T, C)`` batch, others accumulate
-per-sample gradients.  With dropout disabled the two paths take
-numerically identical steps; with dropout on they draw masks in a
-different order and correspond to two equally-valid training runs.
+in {4, 8, 16, 32}), and each step runs the model's
+``training_loss_batch`` over the stacked ``(B, R, T, C)`` batch: one
+vectorized pass for batched-native models, one ``forward`` per window
+under :class:`~repro.training.interface.ForecastModel`'s default for the
+others.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from .metrics import masked_mae
 from .windows import WindowDataset
 
 __all__ = ["EpochStats", "TrainResult", "Trainer"]
+
+#: Global gradient-norm clip applied before every optimizer step.
+CLIP_NORM = 5.0
 
 
 @dataclass(frozen=True)
@@ -40,24 +43,13 @@ class TrainResult:
     best_val_mae: float = float("inf")
     best_state: dict | None = None
 
-    @property
-    def epoch_seconds(self) -> list[float]:
-        return [stats.seconds for stats in self.history]
-
 
 class Trainer:
-    """Adam trainer with batched steps (or gradient accumulation) and early stopping.
+    """Adam trainer with one batched step per batch and early stopping.
 
-    Models exposing ``training_loss_batch`` / ``predict_batch`` (ST-HSL)
-    run one vectorized forward/backward per batch; other models fall back
-    to the per-sample loop with gradient accumulation.  Both paths take
-    identical optimizer steps when dropout is off: the batched loss is a
-    mean over the batch, matching the accumulated-and-averaged per-sample
-    gradients (dropout draws its masks in a different order per path).
-
-    ``use_batched`` forces the choice (``None`` auto-detects) — the
-    equivalence tests use this to run the per-sample reference on a model
-    that supports batching.
+    Every step calls the model's ``training_loss_batch``, a mean over the
+    batch, so its gradient is the average of the per-sample gradients.
+    Validation stacks windows through ``predict_batch``.
     """
 
     def __init__(
@@ -65,26 +57,15 @@ class Trainer:
         model,
         lr: float = 1e-3,
         weight_decay: float = 0.0,
-        clip_norm: float = 5.0,
         batch_size: int = 4,
         seed: int = 0,
-        use_batched: bool | None = None,
-        eval_batch_size: int | None = None,
     ):
         self.model = model
         self.optimizer = nn.Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
         # Parameterless models (statistical baselines) skip the optimizer
         # step entirely; their losses are constants with no graph to walk.
         self._has_params = bool(self.optimizer.params)
-        self.clip_norm = clip_norm
         self.batch_size = batch_size
-        if use_batched is None:
-            use_batched = hasattr(model, "training_loss_batch")
-        elif use_batched and not hasattr(model, "training_loss_batch"):
-            raise ValueError(f"{type(model).__name__} does not implement training_loss_batch")
-        self.use_batched = use_batched
-        # Evaluation has no graph to hold, so larger stacks are pure win.
-        self.eval_batch_size = eval_batch_size if eval_batch_size is not None else max(batch_size, 16)
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
@@ -94,7 +75,6 @@ class Trainer:
         epochs: int,
         patience: int | None = None,
         train_limit: int | None = None,
-        restore_best: bool = True,
         verbose: bool = False,
     ) -> TrainResult:
         """Train for up to ``epochs`` epochs.
@@ -124,18 +104,13 @@ class Trainer:
                 stale += 1
                 if patience is not None and stale > patience:
                     break
-        if restore_best and result.best_state is not None:
+        if result.best_state is not None:
             self.model.load_state_dict(result.best_state)
         return result
 
     # ------------------------------------------------------------------
     def _train_epoch(self, windows: WindowDataset, train_limit: int | None) -> float:
-        if self.use_batched:
-            return self._train_epoch_batched(windows, train_limit)
-        return self._train_epoch_sequential(windows, train_limit)
-
-    def _train_epoch_batched(self, windows: WindowDataset, train_limit: int | None) -> float:
-        """One vectorized forward/backward/step per batch of windows."""
+        """One forward/backward/step per batch of windows."""
         self.model.train()
         total = 0.0
         count = 0
@@ -146,62 +121,23 @@ class Trainer:
                 loss.backward()
             total += float(loss.data) * batch.size
             count += batch.size
-            # The batched loss is already a mean over the batch, so the
-            # gradients match the per-sample path's accumulate-and-average.
             if self._has_params:
-                if self.clip_norm:
-                    nn.clip_grad_norm(self.optimizer.params, self.clip_norm)
+                nn.clip_grad_norm(self.optimizer.params, CLIP_NORM)
                 self.optimizer.step()
                 self.optimizer.zero_grad()
         return total / count if count else float("nan")
-
-    def _train_epoch_sequential(self, windows: WindowDataset, train_limit: int | None) -> float:
-        self.model.train()
-        losses: list[float] = []
-        pending = 0
-        self.optimizer.zero_grad()
-        for sample in windows.shuffled_train(self._rng, limit=train_limit):
-            loss = self.model.training_loss(sample.window, sample.target)
-            # Parameterless models return a constant loss with no graph.
-            if loss.requires_grad:
-                loss.backward()
-            losses.append(float(loss.data))
-            pending += 1
-            if pending == self.batch_size:
-                self._apply_step(pending)
-                pending = 0
-        if pending:
-            self._apply_step(pending)
-        return float(np.mean(losses)) if losses else float("nan")
-
-    def _apply_step(self, accumulated: int) -> None:
-        if not self._has_params:
-            return
-        # Average accumulated gradients so the step size is batch-invariant.
-        for param in self.optimizer.params:
-            if param.grad is not None:
-                param.grad /= accumulated
-        if self.clip_norm:
-            nn.clip_grad_norm(self.optimizer.params, self.clip_norm)
-        self.optimizer.step()
-        self.optimizer.zero_grad()
 
     # ------------------------------------------------------------------
     def validate(self, windows: WindowDataset) -> float:
         """Masked MAE (in case counts) over the validation split."""
         self.model.eval()
         errors: list[float] = []
-        if self.use_batched and hasattr(self.model, "predict_batch"):
-            for batch in windows.batches("val", self.eval_batch_size):
-                preds = windows.denormalize(self.model.predict_batch(batch.windows))
-                for pred, raw in zip(preds, batch.raw_targets):
-                    value = masked_mae(pred, raw)
-                    if not np.isnan(value):
-                        errors.append(value)
-        else:
-            for sample in windows.samples("val"):
-                pred = windows.denormalize(self.model.predict(sample.window))
-                value = masked_mae(pred, sample.raw_target)
+        # Evaluation holds no graph, so stacks larger than a training
+        # batch cost little memory.
+        for batch in windows.batches("val", max(self.batch_size, 16)):
+            preds = windows.denormalize(self.model.predict_batch(batch.windows))
+            for pred, raw in zip(preds, batch.raw_targets):
+                value = masked_mae(pred, raw)
                 if not np.isnan(value):
                     errors.append(value)
         return float(np.mean(errors)) if errors else float("nan")

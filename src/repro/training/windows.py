@@ -82,22 +82,6 @@ class WindowDataset:
         for day in self._days(split):
             yield self._sample(day)
 
-    def shuffled_train(self, rng: np.random.Generator, limit: int | None = None) -> Iterator[WindowSample]:
-        """Training samples in random order, optionally subsampled.
-
-        ``limit`` caps samples per epoch — the knob the reduced-scale
-        benchmark protocol uses to bound epoch cost.
-        """
-        for day in self._shuffled_days(rng, limit):
-            yield self._sample(int(day))
-
-    def _shuffled_days(self, rng: np.random.Generator, limit: int | None) -> np.ndarray:
-        days = np.fromiter(self._days("train"), dtype=int)
-        rng.shuffle(days)
-        if limit is not None:
-            days = days[:limit]
-        return days
-
     def _batch(self, days) -> WindowBatch:
         """Stack the samples of ``days`` into contiguous batch arrays."""
         samples = [self._sample(int(day)) for day in days]
@@ -121,14 +105,17 @@ class WindowDataset:
     ) -> Iterator[WindowBatch]:
         """Shuffled training batches.
 
-        Consumes the RNG exactly like :meth:`shuffled_train` (one shuffle
-        of the day list), then chunks the same ordering into stacks — so a
-        batched epoch visits samples in the identical order its per-sample
-        counterpart would, just ``batch_size`` at a time.
+        One shuffle of the training days per call, chunked into stacks of
+        ``batch_size`` — so the visit order depends on the RNG alone, not
+        on the batch size.  ``limit`` caps windows per epoch, the knob the
+        reduced-scale benchmark protocol uses to bound epoch cost.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        days = self._shuffled_days(rng, limit)
+        days = np.fromiter(self._days("train"), dtype=int)
+        rng.shuffle(days)
+        if limit is not None:
+            days = days[:limit]
         for start in range(0, len(days), batch_size):
             yield self._batch(days[start : start + batch_size])
 

@@ -9,7 +9,7 @@ calls instead of allocating per event.
 import numpy as np
 import pytest
 
-from repro.api import Forecaster
+from repro.api import REGISTRY, Forecaster
 from repro.api.runspec import ExperimentBudget
 from repro.data import load_city
 
@@ -58,6 +58,14 @@ class TestPredictBatch:
     def test_requires_fit(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             Forecaster("ST-HSL").predict_batch(np.zeros((1, 16, WINDOW, 4)))
+
+    @pytest.mark.parametrize("name", REGISTRY.names())
+    def test_empty_stack_predicts_empty(self, dataset, name):
+        budget = ExperimentBudget(window=WINDOW, epochs=1, train_limit=4, seed=0)
+        fc = Forecaster(name, budget=budget, hidden=4).fit(dataset)
+        regions, categories = dataset.num_regions, dataset.num_categories
+        out = fc.predict_batch(np.empty((0, regions, WINDOW, categories)))
+        assert out.shape == (0, regions, categories)
 
     def test_statistical_model_goes_through_same_entry_point(self, dataset):
         fc = Forecaster("HA", budget=ExperimentBudget(window=WINDOW)).fit(dataset)

@@ -40,14 +40,6 @@ class TestCapabilities:
         for name in ("ARIMA", "HA"):
             assert not REGISTRY.spec(name).requires_training
 
-    def test_batched_specs_implement_duck_type(self):
-        for spec in REGISTRY:
-            model = spec.build(GEOMETRY, window=WINDOW, hidden=8, seed=0)
-            if spec.supports_batching:
-                assert hasattr(model, "training_loss_batch") and hasattr(model, "predict_batch")
-        for name in ("ST-HSL", "STGCN", "DeepCrime", "GWN", "DCRNN"):
-            assert REGISTRY.spec(name).supports_batching, name
-
 
 class TestGraphFreePredictIdentity:
     """The no_grad + arena fast path is numerically invisible: for every
@@ -67,7 +59,7 @@ class TestGraphFreePredictIdentity:
             fast = model.predict(window)
             assert np.array_equal(reference, fast), name
 
-    @pytest.mark.parametrize("name", [spec.name for spec in REGISTRY if spec.supports_batching])
+    @pytest.mark.parametrize("name", REGISTRY.names())
     def test_predict_batch_matches_graph_forward_bitwise(self, name):
         model = REGISTRY.build(name, geometry=GEOMETRY, window=WINDOW, hidden=8, seed=0)
         windows = np.random.default_rng(8).standard_normal((3, GEOMETRY.num_regions, WINDOW, 4))

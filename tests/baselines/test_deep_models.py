@@ -132,21 +132,18 @@ class TestSignatureMechanisms:
         assert np.allclose(weights.data.sum(axis=1), 1.0)
 
 
-BATCHED_BASELINES = ["STGCN", "DeepCrime", "GWN", "DCRNN", "STtrans"]
-
-
-@pytest.mark.parametrize("name", BATCHED_BASELINES)
+@pytest.mark.parametrize("name", DEEP_NAMES)
 class TestBatchedBaselines:
-    """The baselines implementing the batched duck type
-    (``training_loss_batch``/``predict_batch``) run on the trainer's
-    vectorized path and must match their own per-sample execution exactly
-    (the contract ST-HSL's equivalence suite locks in tests/core)."""
+    """Every baseline that trains runs on the trainer's one batched path:
+    batched-native models through their own ``forward_batch``, the rest
+    through ``ForecastModel``'s per-window default.  Either way one
+    batched step must match the model's own per-sample execution (the
+    contract ST-HSL's equivalence suite locks in tests/core), which also
+    pins SVM's L2 term to once per step and ST-ResNet's BatchNorm to
+    per-image statistics."""
 
     def _model(self, name, seed=0):
         return build_baseline(name, DATASET, window=WINDOW, hidden=8, seed=seed)
-
-    def test_registry_records_capability(self, name):
-        assert REGISTRY.spec(name).supports_batching
 
     def test_predict_batch_matches_per_sample(self, name):
         model = self._model(name)
@@ -185,9 +182,3 @@ class TestBatchedBaselines:
         ):
             assert p_seq.grad is not None, f"{name}: no grad for {p_name}"
             assert np.allclose(p_batched.grad, p_seq.grad / len(windows), atol=1e-10), p_name
-
-    def test_trainer_autodetects_batched_path(self, name):
-        from repro.training import Trainer
-
-        trainer = Trainer(self._model(name), batch_size=4)
-        assert trainer.use_batched

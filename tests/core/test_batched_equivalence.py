@@ -2,8 +2,9 @@
 
 One batched ``training_loss_batch`` over ``B`` stacked windows must
 produce the same parameter gradients as ``B`` accumulated per-sample
-backward passes divided by ``B`` (the trainer's accumulate-and-average
-schedule).  Dropout is disabled so both paths draw identical randomness;
+backward passes divided by ``B`` (Algorithm 1's accumulate-and-average
+step, which the trainer's one batched loop reproduces).  Dropout is
+disabled so both paths draw identical randomness;
 the corruption RNG consumes one permutation per window in batch order on
 both paths by construction.
 """
@@ -11,9 +12,13 @@ both paths by construction.
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.api import REGISTRY
 from repro.core import STHSL, STHSLConfig
 from repro.data import load_city
 from repro.training import Trainer, WindowDataset
+from repro.training import trainer as trainer_module
+from repro.training.metrics import masked_mae
 
 ATOL = 1e-8
 BATCH = 3
@@ -108,31 +113,60 @@ class TestGradientEquivalence:
         assert batched == pytest.approx(per_sample, abs=ATOL)
 
 
-class TestTrainerPaths:
-    """The two trainer execution paths take numerically matching steps."""
+class TestTrainerEpoch:
+    """The trainer's one epoch loop takes the steps of Algorithm 1's
+    per-sample reference: for each group of ``batch_size`` windows in the
+    shuffled order, average the per-sample gradients, clip them at norm
+    5 and take one Adam step.  The tiny clip makes the clip bind; the
+    state (BatchNorm running statistics included) pins the visit order."""
 
-    def test_batched_and_sequential_epochs_match(self):
+    @pytest.fixture(scope="class")
+    def windows(self):
         dataset = load_city("nyc", rows=4, cols=4, num_days=60, seed=0)
-        windows = WindowDataset(dataset, window=6)
-        cfg = _cfg(window=6, num_categories=dataset.num_categories, dropout=0.0)
+        return WindowDataset(dataset, window=6)
 
-        def run(use_batched):
-            model = STHSL(cfg, seed=0)
-            trainer = Trainer(model, lr=1e-3, batch_size=4, seed=0, use_batched=use_batched)
-            trainer._train_epoch(windows, train_limit=8)
-            return {name: p.data.copy() for name, p in model.named_parameters()}
+    @staticmethod
+    def _build(name, windows):
+        if name == "ST-HSL":
+            cfg = _cfg(window=6, num_categories=windows.dataset.num_categories, dropout=0.0)
+            return STHSL(cfg, seed=0)
+        return REGISTRY.build(name, dataset=windows.dataset, window=6, hidden=4, seed=0)
 
-        sequential = run(False)
-        batched = run(True)
-        for name in sequential:
-            np.testing.assert_allclose(
-                batched[name], sequential[name], atol=1e-10, rtol=0, err_msg=name
-            )
+    @staticmethod
+    def _reference_epoch(model, windows, batch_size, limit, clip):
+        order = [d for b in windows.train_batches(np.random.default_rng(0), 1, limit=limit) for d in b.days]
+        samples = {s.day: s for s in windows.samples("train")}
+        optimizer = nn.Adam(model.parameters(), lr=1e-3)
+        model.train()
+        for start in range(0, len(order), batch_size):
+            group = order[start : start + batch_size]
+            optimizer.zero_grad()
+            for day in group:
+                model.training_loss(samples[day].window, samples[day].target).backward()
+            for param in optimizer.params:
+                if param.grad is not None:  # ST-ResNet's unused period weight
+                    param.grad /= len(group)
+            nn.clip_grad_norm(optimizer.params, clip)
+            optimizer.step()
 
-    def test_validate_matches(self):
-        dataset = load_city("nyc", rows=4, cols=4, num_days=60, seed=0)
-        windows = WindowDataset(dataset, window=6)
-        cfg = _cfg(window=6, num_categories=dataset.num_categories)
-        val_batched = Trainer(STHSL(cfg, seed=0), seed=0, use_batched=True).validate(windows)
-        val_sequential = Trainer(STHSL(cfg, seed=0), seed=0, use_batched=False).validate(windows)
-        assert val_batched == pytest.approx(val_sequential, abs=1e-10)
+    @pytest.mark.parametrize("clip", [trainer_module.CLIP_NORM, 1e-3], ids=["clip5", "tiny-clip"])
+    @pytest.mark.parametrize("name", ["ST-HSL", "SVM", "ST-ResNet"])
+    def test_epoch_matches_per_sample_reference(self, name, clip, windows, monkeypatch):
+        monkeypatch.setattr(trainer_module, "CLIP_NORM", clip)
+        model = self._build(name, windows)
+        Trainer(model, lr=1e-3, batch_size=4, seed=0)._train_epoch(windows, train_limit=10)
+        reference = self._build(name, windows)
+        self._reference_epoch(reference, windows, batch_size=4, limit=10, clip=clip)
+        trained, expected = model.state_dict(), reference.state_dict()
+        assert trained.keys() == expected.keys()
+        for key in trained:
+            np.testing.assert_allclose(trained[key], expected[key], atol=1e-12, rtol=0, err_msg=key)
+
+    def test_validate_is_masked_mae_of_per_window_predict(self, windows):
+        model = self._build("ST-HSL", windows)
+        errors = []
+        for sample in windows.samples("val"):
+            value = masked_mae(windows.denormalize(model.predict(sample.window)), sample.raw_target)
+            if not np.isnan(value):
+                errors.append(value)
+        assert Trainer(model, seed=0).validate(windows) == pytest.approx(np.mean(errors), abs=1e-12)

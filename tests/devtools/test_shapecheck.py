@@ -6,10 +6,10 @@ Two layers, mirroring the implementation:
   runs cleanly on the check geometry (the same sweep `repro lint
   --check shapes` gates CI on) and on a second, taller and larger one;
 * **seeded violations** — toy models with a deliberate shape break,
-  dtype leak, broadcast of two different dims, capability-flag lie and
-  raising builder, each detected with the right problem kind and,
-  through the lint pass, the right rule id anchored at a real
-  ``path:line``.
+  dtype leak, broadcast of two different dims, hard-coded batch size,
+  missing ``forward_batch`` and raising builder, each detected with the
+  right problem kind and, through the lint pass, the right rule id
+  anchored at a real ``path:line``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.devtools.lint.passes.shapes import (
     check_registry,
 )
 from repro.nn import Tensor
+from repro.training.interface import ForecastModel
 
 pytestmark = pytest.mark.lint_smoke
 
@@ -63,8 +64,6 @@ def test_check_registry_covers_the_full_matrix():
     reports = check_registry()
     assert len(reports) == len(REGISTRY.names()) * len(MODES)
     assert all(r.ok for r in reports)
-    batched = [r for r in reports if REGISTRY.spec(r.model).supports_batching]
-    assert batched, "expected supports_batching models in the registry"
 
 
 def test_check_geometry_sizes_must_all_differ():
@@ -82,13 +81,13 @@ def test_check_geometry_sizes_must_all_differ():
 
 
 class _ShapeBroken:
-    """Reduces over the wrong axis: (R, T, C) -> (R, T), not (R, C)."""
+    """Reduces over the wrong axis: (B, R, T, C) -> (B, R, T), not (B, R, C)."""
 
     def eval(self):
         return self
 
-    def forward(self, window):
-        return np.mean(window, axis=2)
+    def forward_batch(self, windows):
+        return np.mean(windows, axis=3)
 
 
 class _DtypeLeaky:
@@ -100,9 +99,9 @@ class _DtypeLeaky:
     def eval(self):
         return self
 
-    def forward(self, window):
-        xf = window.astype(np.float32)
-        return xf[:, -1, :] @ self._w  # promotes back to float64
+    def forward_batch(self, windows):
+        xf = windows.astype(np.float32)
+        return xf[:, :, -1, :] @ self._w  # promotes back to float64
 
 
 class _TensorLeakCastBack:
@@ -114,9 +113,9 @@ class _TensorLeakCastBack:
     def eval(self):
         return self
 
-    def forward(self, window):
-        x = Tensor(np.asarray(window, dtype=np.float32))
-        return (x[:, -1, :] @ self._w).data.astype(np.float32)
+    def forward_batch(self, windows):
+        x = Tensor(np.asarray(windows, dtype=np.float32))
+        return (x[:, :, -1, :] @ self._w).data.astype(np.float32)
 
 
 class _BroadcastDifferentDims:
@@ -125,15 +124,15 @@ class _BroadcastDifferentDims:
     def eval(self):
         return self
 
-    def forward(self, window):
-        t = np.sum(window, axis=(0, 2))  # (T,)
-        r = np.sum(window, axis=(1, 2))  # (R,)
+    def forward_batch(self, windows):
+        t = np.sum(windows, axis=(0, 1, 3))  # (T,)
+        r = np.sum(windows, axis=(0, 2, 3))  # (R,)
         _ = t + r  # only legal when window == num_regions
-        return np.mean(window, axis=1)
+        return np.mean(windows, axis=2)
 
 
-class _FlagLiar:
-    """Declares supports_batching but ships no forward_batch."""
+class _NoForwardBatch:
+    """A third-party registry entry that does not subclass ForecastModel."""
 
     def eval(self):
         return self
@@ -142,8 +141,15 @@ class _FlagLiar:
         return np.mean(window, axis=1)
 
 
-class _BatchConcretiser(_FlagLiar):
+class _NeitherForward(ForecastModel):
+    """Implements neither forward nor forward_batch: the defaults recurse."""
+
+
+class _BatchConcretiser:
     """forward_batch whose output batch dim is hard-coded."""
+
+    def eval(self):
+        return self
 
     def forward_batch(self, windows):
         return np.zeros(
@@ -151,7 +157,7 @@ class _BatchConcretiser(_FlagLiar):
         )
 
 
-def _spec(model_cls, name="toy", accepts_dtype=False, **flags):
+def _spec(model_cls, name="toy", accepts_dtype=False):
     def build(geometry, *, window, hidden, seed, **overrides):
         if not accepts_dtype and "compute_dtype" in overrides:
             raise TypeError("no compute_dtype knob")
@@ -160,22 +166,23 @@ def _spec(model_cls, name="toy", accepts_dtype=False, **flags):
         except TypeError:
             return model_cls()
 
-    return ModelSpec(name=name, builder=build, **flags)
+    return ModelSpec(name=name, builder=build)
 
 
 @GEOMETRIES
 def test_shape_break_detected(geometry, monkeypatch):
     monkeypatch.setattr(shapes, "GEOMETRY", geometry)
     report = check_model(_spec(_ShapeBroken))
-    assert [p.kind for p in report.problems] == ["shape"]
+    assert [p.kind for p in report.problems] == ["shape"] * len(geometry.batch_sizes)
     R, T, C = geometry.regions, geometry.window, geometry.categories
-    assert f"(R={R}, T={T}) != expected (R={R}, C={C})" in report.problems[0].message
+    for b, problem in zip(geometry.batch_sizes, report.problems):
+        assert f"(B={b}, R={R}, T={T}) != expected (B={b}, R={R}, C={C})" in problem.message
 
 
 def test_dtype_leak_detected_only_in_float32_mode():
     spec = _spec(_DtypeLeaky, accepts_dtype=True)
     leaky = check_model(spec, mode="float32")
-    assert [p.kind for p in leaky.problems] == ["dtype-leak"]
+    assert [p.kind for p in leaky.problems] == ["dtype-leak"] * len(GEOMETRY.batch_sizes)
     assert "output dtype float64 in float32 mode" in leaky.problems[0].message
     native = check_model(spec)
     assert native.ok  # promotion to the native dtype is not a leak
@@ -188,38 +195,39 @@ def test_tensor_leak_cast_back_detected_only_in_float32_mode():
     from_array = Tensor.__dict__["_from_array"]
     leaky = check_model(spec, mode="float32")
     assert Tensor.__dict__["_from_array"] is from_array  # the spy is gone again
-    assert [p.kind for p in leaky.problems] == ["dtype-leak"]
+    assert [p.kind for p in leaky.problems] == ["dtype-leak"] * len(GEOMETRY.batch_sizes)
     assert "reached Tensor._from_array in float32 mode" in leaky.problems[0].message
-    assert "__matmul__() with shape (R=35, C=3)" in leaky.problems[0].message
+    assert "__matmul__() with shape (B=2, R=35, C=3)" in leaky.problems[0].message
     assert check_model(spec).ok
 
 
 def test_broadcast_of_different_dims_detected():
     report = check_model(_spec(_BroadcastDifferentDims))
-    assert [p.kind for p in report.problems] == ["broadcast"]
+    assert [p.kind for p in report.problems] == ["broadcast"] * len(GEOMETRY.batch_sizes)
     assert "could not be broadcast" in report.problems[0].message
 
 
-def test_capability_flag_without_forward_batch_detected():
-    report = check_model(_spec(_FlagLiar, supports_batching=True))
-    assert [p.kind for p in report.problems] == ["capability"]
-    assert "no forward_batch" in report.problems[0].message
+def test_missing_forward_batch_is_one_shape_finding(monkeypatch):
+    report = check_model(_spec(_NoForwardBatch))
+    assert [p.kind for p in report.problems] == ["shape"]
+    assert "_NoForwardBatch has no forward_batch" in report.problems[0].message
+    # Through the pass: one finding, not an AttributeError that aborts it.
+    monkeypatch.setattr(shapes, "check_registry", lambda: [report])
+    findings = run_lint(checks=["shapes"]).unsuppressed
+    assert [f.rule for f in findings] == ["model-shape-contract"]
+    assert "has no forward_batch" in findings[0].message
 
 
-def test_unadvertised_forward_batch_detected():
-    report = check_model(_spec(_BatchConcretiser, supports_batching=False))
-    assert any(
-        p.kind == "capability" and "supports_batching=False" in p.message
-        for p in report.problems
-    )
+def test_forecast_model_with_neither_forward_is_a_shape_problem():
+    report = check_model(_spec(_NeitherForward))
+    assert {p.kind for p in report.problems} == {"shape"}
+    assert "RecursionError" in report.problems[0].message
 
 
 def test_batch_concretisation_caught_by_second_batch_size():
-    report = check_model(_spec(_BatchConcretiser, supports_batching=True))
-    capability = [p for p in report.problems if p.kind == "capability"]
-    assert capability, "hard-coded batch size must fail at the other batch size"
-    assert any("supports_batching=True is not honoured" in p.message for p in capability)
-    assert all(f"B={GEOMETRY.batch_sizes[1]}" in p.message for p in capability)
+    report = check_model(_spec(_BatchConcretiser))
+    assert [p.kind for p in report.problems] == ["shape"]
+    assert f"forward_batch(B={GEOMETRY.batch_sizes[1]})" in report.problems[0].message
 
 
 def test_raising_builder_is_a_shape_problem():
@@ -249,8 +257,8 @@ def test_builder_type_error_skips_only_the_float32_mode():
 class _LeakThenRaise(_TensorLeakCastBack):
     """Makes a float64 Tensor, then fails before returning."""
 
-    def forward(self, window):
-        super().forward(window)
+    def forward_batch(self, windows):
+        super().forward_batch(windows)
         raise RuntimeError("late failure")
 
 
@@ -258,8 +266,8 @@ def test_float64_spy_is_removed_when_the_forward_raises():
     from_array = Tensor.__dict__["_from_array"]
     report = check_model(_spec(_LeakThenRaise, accepts_dtype=True), mode="float32")
     assert Tensor.__dict__["_from_array"] is from_array
-    assert [p.kind for p in report.problems] == ["shape"]
-    assert "forward raised RuntimeError: late failure" in report.problems[0].message
+    assert [p.kind for p in report.problems] == ["shape"] * len(GEOMETRY.batch_sizes)
+    assert "forward_batch(B=2) raised RuntimeError: late failure" in report.problems[0].message
 
 
 # ---------------------------------------------------------------------
@@ -361,7 +369,6 @@ def test_cli_json_includes_pass_rules(capsys):
         "model-shape-contract",
         "dtype-promotion-leak",
         "broadcast-surprise",
-        "capability-flag-drift",
         "error-code-bijection",
         "rpc-fixture-schema",
         "cli-docs-drift",

