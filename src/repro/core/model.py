@@ -50,7 +50,9 @@ class STHSLBatchOutput:
     """Forward-pass artefacts for a stacked batch of windows."""
 
     prediction: Tensor  # (B, R, C), in normalised units
-    local: Tensor | None  # H^(T): (B, R, T, C, d) or None when disabled
+    #: H^(T): (B, R, T, C, d) or None when disabled; a view over the
+    #: temporal encoder's channel-major (C, d, B, R, T) memory.
+    local: Tensor | None
     global_nodes: Tensor | None  # Γ^(R): (B, T, RC, d) or None
     global_temporal: Tensor | None  # Γ^(T): (B, T, RC, d) or None
     #: Hypergraph input node embeddings (B, T, RC, d) for loss(); see
@@ -188,7 +190,10 @@ class STHSL(nn.Module):
         One vectorized pass: the convolutional encoders fold the batch into
         their image/sequence axes, the hypergraph broadcasts over it, so a
         batch costs a handful of large numpy calls instead of ``B`` python
-        graph traversals.
+        graph traversals.  The local branch stays channel-major from Eq 1
+        to the hypergraph, so the whole forward makes two full-size layout
+        copies: spatial to temporal order, and into the hypergraph's
+        ``(B, T, RC, d)``.
         """
         cfg = self.config
         windows = np.asarray(windows)
@@ -201,7 +206,7 @@ class STHSL(nn.Module):
                 f"(R={cfg.num_regions}, C={cfg.num_categories})"
             )
 
-        embeddings = self.embedding(windows)  # (B, R, T, C, d)
+        embeddings = self.embedding(windows)  # (B, R, T, C, d) view
 
         # ----- Local branch: multi-view spatial-temporal convolutions -----
         local: Tensor | None = None
@@ -260,24 +265,26 @@ class STHSL(nn.Module):
         t: int,
         c: int,
     ) -> Tensor:
-        """Eq 9: mean-pool the window embeddings and project to a scalar."""
+        """Eq 9: mean-pool the window embeddings and project to a scalar.
+
+        The local view is pooled only on the branches that read it.
+        """
         cfg = self.config
-        local_pooled = local.mean(axis=2) if local is not None else None  # (B, R, C, d)
         global_pooled = (
             global_temporal.mean(axis=1).reshape(b, r, c, cfg.dim)
             if global_temporal is not None
             else None
         )
 
-        if cfg.fusion and local_pooled is not None and global_pooled is not None:
-            fused = nn.concatenate([local_pooled, global_pooled], axis=-1)
+        if cfg.fusion and local is not None and global_pooled is not None:
+            fused = nn.concatenate([local.mean(axis=2), global_pooled], axis=-1)
             hidden = self.fusion_layer(fused).leaky_relu(cfg.leaky_slope)
             return self.fusion_head(hidden).squeeze(-1)
         if cfg.use_global and global_pooled is not None:
             return self.global_head(global_pooled).squeeze(-1)
-        if local_pooled is None:
+        if local is None:
             raise RuntimeError("no active prediction branch")
-        return self.local_head(local_pooled).squeeze(-1)
+        return self.local_head(local.mean(axis=2)).squeeze(-1)
 
     # ------------------------------------------------------------------
     # Joint objective

@@ -10,6 +10,12 @@ as in Eq 2; two layers are stacked by default.
 The "w/o C-Conv" ablation (Figure 5) replaces full channel mixing with
 per-category convolutions, severing cross-type information flow while
 keeping the spatial receptive field identical.
+
+Activations are channel-major, ``(C*d, B*T, I, J)`` in memory, the
+layout of the conv kernel in :mod:`repro.nn.kernels`: the encoder reads
+:class:`~repro.core.embedding.CrimeEmbedding`'s output with a free
+reshape, and each layer hands its conv the ``(B*T, C*d, I, J)`` view,
+which the kernel reads without a copy.
 """
 
 from __future__ import annotations
@@ -52,17 +58,22 @@ class _SpatialLayer(nn.Module):
         self.drop = nn.Dropout(dropout, rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        """``x`` has shape ``(B*T, C*d, I, J)`` (batch folded into images)."""
+        """``x`` is channel-major ``(C*d, B*T, I, J)`` (batch folded into
+        images); the convs see it as ``(B*T, C*d, I, J)`` images, a view
+        the conv kernel reads in place.  Returns the same layout."""
+        images = x.swapaxes(0, 1)
         if self.cross_category:
-            out = self.conv(x)
+            out = self.conv(images)
         else:
             parts = []
             for c in range(self.num_categories):
                 sl = slice(c * self.dim, (c + 1) * self.dim)
-                parts.append(self.convs[c](x[:, sl]))
+                parts.append(self.convs[c](images[:, sl]))
             out = nn.concatenate(parts, axis=1)
         # Eq 2: σ(δ(W ∗ E + b) + E) — dropout inside, residual, LeakyReLU.
-        return (self.drop(out) + x).leaky_relu(self.leaky_slope)
+        # Dropout draws its mask in image order; the sum and the
+        # activation run on contiguous channel-major memory.
+        return (self.drop(out).swapaxes(0, 1) + x).leaky_relu(self.leaky_slope)
 
 
 class SpatialConvEncoder(nn.Module):
@@ -100,22 +111,15 @@ class SpatialConvEncoder(nn.Module):
 
         Accepts a single window ``(R, T, C, d)`` or a stacked batch
         ``(B, R, T, C, d)``.  Batched windows share one conv invocation by
-        folding the batch into the image axis: ``(B*T, C*d, I, J)``.
+        folding the batch into the image axis, channel-major: ``(C*d,
+        B*T, I, J)``.  The output is a view over that memory.
         """
         squeeze = embeddings.ndim == 4
         if squeeze:
             embeddings = embeddings.expand_dims(0)
         b, r, t, c, d = embeddings.shape
-        image = (
-            embeddings.reshape(b, self.rows, self.cols, t, c * d)
-            .transpose(0, 3, 4, 1, 2)
-            .reshape(b * t, c * d, self.rows, self.cols)
-        )
+        image = embeddings.transpose(3, 4, 0, 2, 1).reshape(c * d, b * t, self.rows, self.cols)
         for layer in self.layers:
             image = layer(image)
-        out = (
-            image.reshape(b, t, c * d, self.rows, self.cols)
-            .transpose(0, 3, 4, 1, 2)
-            .reshape(b, r, t, c, d)
-        )
+        out = image.reshape(c, d, b, t, r).transpose(2, 4, 3, 0, 1)
         return out.squeeze(0) if squeeze else out

@@ -4,6 +4,11 @@ Aggregates cross-time crime patterns with a 1-D convolution along the
 time-slot axis, again with residual connection, dropout and LeakyReLU.
 Categories share the channel axis, so temporal kernels are type-aware
 (`W^(T)_c` in the paper indexes kernels by category).
+
+Activations are channel-major, ``(C*d, B*R, T)`` in memory, the layout
+of the conv kernel in :mod:`repro.nn.kernels`: the encoder copies the
+spatial encoder's output into it once, and each layer hands its conv
+the ``(B*R, C*d, T)`` view, which the kernel reads without a copy.
 """
 
 from __future__ import annotations
@@ -31,8 +36,11 @@ class _TemporalLayer(nn.Module):
         self.drop = nn.Dropout(dropout, rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        """``x`` has shape ``(B*R, C*d, T)`` (batch folded into sequences)."""
-        return (self.drop(self.conv(x)) + x).leaky_relu(self.leaky_slope)
+        """``x`` is channel-major ``(C*d, B*R, T)`` (batch folded into
+        sequences); the conv sees it as ``(B*R, C*d, T)`` sequences, a
+        view the conv kernel reads in place.  Returns the same layout."""
+        out = self.drop(self.conv(x.swapaxes(0, 1))).swapaxes(0, 1)
+        return (out + x).leaky_relu(self.leaky_slope)
 
 
 class TemporalConvEncoder(nn.Module):
@@ -61,15 +69,15 @@ class TemporalConvEncoder(nn.Module):
     def forward(self, h_spatial: Tensor) -> Tensor:
         """Encode ``(R, T, C, d)`` (or batched ``(B, R, T, C, d)``) into
         ``H^(T)`` of the same shape, folding the batch into the conv's
-        sequence axis: ``(B*R, C*d, T)``."""
+        sequence axis, channel-major: ``(C*d, B*R, T)``.  The output is a
+        view over that memory.
+        """
         squeeze = h_spatial.ndim == 4
         if squeeze:
             h_spatial = h_spatial.expand_dims(0)
         b, r, t, c, d = h_spatial.shape
-        sequence = (
-            h_spatial.reshape(b, r, t, c * d).transpose(0, 1, 3, 2).reshape(b * r, c * d, t)
-        )
+        sequence = h_spatial.transpose(3, 4, 0, 1, 2).reshape(c * d, b * r, t)
         for layer in self.layers:
             sequence = layer(sequence)
-        out = sequence.reshape(b, r, c * d, t).transpose(0, 1, 3, 2).reshape(b, r, t, c, d)
+        out = sequence.reshape(c, d, b, r, t).transpose(2, 3, 4, 0, 1)
         return out.squeeze(0) if squeeze else out

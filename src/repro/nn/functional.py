@@ -5,10 +5,13 @@ their gradients come for free from the autograd engine.  The convolution
 primitives are re-exported from :mod:`repro.nn.ops` for
 ``torch.nn.functional`` call-site parity (``F.conv2d(...)``); every
 ``conv1d`` and ``conv2d`` call runs the tiled im2col kernel in
-:mod:`repro.nn.kernels`, which fills and contracts the batch-folded
-patch matrix one :data:`~repro.nn.kernels.TILE_BYTES` tile of images or
-sequences at a time, the same way in both grad modes; the backward
-walks the same tiles again, so no full patch matrix is ever kept.
+:mod:`repro.nn.kernels` over channel-major ``(C, N, *spatial)`` memory
+(an ``(N, C, ...)`` input that is the ``swapaxes(0, 1)`` of such memory
+is read in place, any other is copied once), filling and contracting the
+batch-folded patch matrix one :data:`~repro.nn.kernels.TILE_BYTES` tile
+of images or sequences at a time, the same way in both grad modes; the
+backward walks the same tiles again, so no full patch matrix is ever
+kept.
 Paper Eq. 5's shared-kernel time convolution is
 :func:`repro.nn.ops.time_conv`, not a ``conv1d`` call.
 """
@@ -124,9 +127,17 @@ def info_nce(anchor: Tensor, positive: Tensor, temperature: float = 0.5) -> Tens
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: identity at eval time, scaled mask when training."""
+    """Inverted dropout: identity at eval time, scaled mask when training.
+
+    The mask is drawn in ``x``'s index order, so which elements drop does
+    not depend on how ``x`` is laid out in memory, and stored in ``x``'s
+    memory layout, so the product keeps that layout (a channel-major
+    view stays channel-major).
+    """
     if not training or rate <= 0.0:
         return x
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
+    mask = np.empty_like(x.data)
+    np.copyto(mask, rng.random(x.shape) < keep)
+    mask /= keep
     return x * Tensor(mask)

@@ -18,19 +18,22 @@ __all__ = ["numeric_grad", "gradcheck"]
 def numeric_grad(
     fn: Callable[..., Tensor], inputs: Sequence[Tensor], index: int, eps: float = 1e-6
 ) -> np.ndarray:
-    """Central-difference gradient of ``sum(fn(*inputs))`` w.r.t. one input."""
+    """Central-difference gradient of ``sum(fn(*inputs))`` w.r.t. one input.
+
+    Each element is perturbed in place through its index, so an input of
+    any memory layout works: ``reshape(-1)`` of a non-contiguous array
+    would perturb a copy and read a zero gradient.
+    """
     target = inputs[index]
     grad = np.zeros_like(target.data)
-    flat = target.data.reshape(-1)
-    grad_flat = grad.reshape(-1)
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + eps
+    for i in np.ndindex(target.data.shape):
+        original = target.data[i]
+        target.data[i] = original + eps
         plus = float(fn(*inputs).data.sum())
-        flat[i] = original - eps
+        target.data[i] = original - eps
         minus = float(fn(*inputs).data.sum())
-        flat[i] = original
-        grad_flat[i] = (plus - minus) / (2.0 * eps)
+        target.data[i] = original
+        grad[i] = (plus - minus) / (2.0 * eps)
     return grad
 
 

@@ -1,29 +1,37 @@
-"""The convolution kernel: batch-folded im2col, walked one tile at a time.
+"""The convolution kernel: batch-folded im2col over channel-major memory,
+walked one tile at a time.
 
 Every :func:`~repro.nn.conv2d` and :func:`~repro.nn.conv1d` call —
 training and inference, float32 and float64 — runs the forward kernel
-for its rank here, and training runs the backward here too.  The folded
-batch axis ``N`` (images for 2-D, sequences for 1-D) is cut into tiles
-of as many items as fit one :data:`TILE_BYTES` patch-matrix budget: at
-least one item, and the whole batch when it fits.  For each tile the
-forward
+for its rank here, and training runs the backward here too.  The kernel
+works in one layout, *channel-major*: C-contiguous ``(C, N, *spatial)``
+memory, the channel axis outermost and the folded batch axis ``N``
+(images for 2-D, sequences for 1-D) next.  Read as a ``(C, N*L)`` matrix
+that is the layout the tile gemm writes, so the output needs no
+transpose, and a tile of items is a column slab ``[:, start*L:stop*L]``
+of it.  The ops in :mod:`repro.nn.ops` hand the kernel their ``(N, C,
+*spatial)`` operands swapped to it, copying only an input that is not
+already channel-major.
+
+``N`` is cut into tiles of as many items as fit one :data:`TILE_BYTES`
+patch-matrix budget: at least one item, and the whole batch when it
+fits.  For each tile the forward
 
 1. fills the tile's patch columns, laid out ``(C_in, K, n, L)`` so that,
    read as a ``(C_in*K, n*L)`` matrix, the tile contracts in one
    ``(C_out, C_in*K) @ (C_in*K, n*L)`` gemm;
-2. runs that gemm;
-3. adds the bias and transposes the product into the tile's
-   ``(n, C_out, L)`` block of the output while it is still in cache.
+2. runs that gemm straight into the tile's slab of the output;
+3. adds the bias to that slab while it is still in cache.
 
 The forward is one code path in both grad modes and keeps nothing but
-its output: ``reuse`` only decides whether the tile workspaces and the
+its output: ``reuse`` only decides whether the tile workspace and the
 output come from the active :class:`~repro.nn.BufferArena`.  The
-backward walks the same tiles again.  For each tile it
+backward walks the same tiles again, reading each tile's output
+gradient slab in place.  For each tile it
 
-1. copies the tile's output gradient into a ``(C_out, n*L)`` workspace;
-2. refills the tile's patches and adds ``g @ patches.T`` to ``gw``;
-3. writes ``w.T @ g`` into the same patch workspace;
-4. adds that onto the tile's slice of ``gx``, tap by tap — the exact
+1. refills the tile's patches and adds ``g @ patches.T`` to ``gw``;
+2. writes ``w.T @ g`` into the same patch workspace;
+3. adds that onto the tile's slice of ``gx``, tap by tap — the exact
    adjoint of the fill.
 
 So no full patch matrix is ever held, and ``gx`` adds each input
@@ -32,8 +40,12 @@ position's tap contributions onto zero in tap order whatever the dtype.
 Each rank has one tap geometry (:func:`_taps2d`, :func:`_taps1d`): for
 every tap, the clamped range of output positions that read the input and
 the input slice they read, for any stride, padding and dilation.  The
-fill zeroes the output positions outside that range and copies inside
-it; the scatter adds inside it.  Neither makes a padded copy.
+fill copies inside that range and zeroes the frame of output positions
+outside it.  The forward zeroes the frames only when a tile's workspace
+layout is new — once per tile size per call, since its copies never
+write them; the backward zeroes them on every tile, since ``w.T @ g``
+overwrites them.  The scatter adds inside the range.  Neither makes a
+padded copy.
 
 BLAS picks its blocking by gemm shape, so a tiled product is not in
 general bitwise-equal to an untiled one; cutting the same tiles on every
@@ -112,27 +124,29 @@ def _taps1d(
     return [((dst,), (src,)) for dst, src in spans]
 
 
-def _fill(cols: np.ndarray, x: np.ndarray, taps: list[Tap]) -> None:
-    """Write the patches of ``x`` ``(n, C_in, *in)`` into ``cols``
-    ``(C_in, K, n, *out)``: per tap, zero the frame of output positions
-    outside its span, then copy the input the span reads."""
+def _fill(cols: np.ndarray, x: np.ndarray, taps: list[Tap], zero: bool) -> None:
+    """Write the patches of ``x`` ``(C_in, n, *in)`` into ``cols``
+    ``(C_in, K, n, *out)``: per tap, copy the input its span reads, and
+    with ``zero`` set first zero the frame of output positions outside
+    the span."""
     for tap, (dst, src) in enumerate(taps):
         frame = cols[:, tap]
-        inner = _LEAD
-        for span, size in zip(dst, frame.shape[2:]):
-            if span.start > 0:
-                frame[inner + (slice(0, span.start),)].fill(0.0)
-            if span.stop < size:
-                frame[inner + (slice(span.stop, None),)].fill(0.0)
-            inner += (span,)
-        frame[inner] = x[_LEAD + src].swapaxes(0, 1)
+        if zero:
+            inner = _LEAD
+            for span, size in zip(dst, frame.shape[2:]):
+                if span.start > 0:
+                    frame[inner + (slice(0, span.start),)].fill(0.0)
+                if span.stop < size:
+                    frame[inner + (slice(span.stop, None),)].fill(0.0)
+                inner += (span,)
+        frame[_LEAD + dst] = x[_LEAD + src]
 
 
 def _scatter(gx: np.ndarray, gcols: np.ndarray, taps: list[Tap]) -> None:
     """Add the patch gradient ``gcols`` ``(C_in, K, n, *out)`` onto ``gx``
-    ``(n, C_in, *in)``, tap by tap: the adjoint of :func:`_fill`."""
+    ``(C_in, n, *in)``, tap by tap: the adjoint of :func:`_fill`."""
     for tap, (dst, src) in enumerate(taps):
-        gx[_LEAD + src] += gcols[(slice(None), tap, slice(None)) + dst].swapaxes(0, 1)
+        gx[_LEAD + src] += gcols[(slice(None), tap, slice(None)) + dst]
 
 
 def _tile(n: int, rows: int, length: int, itemsize: int) -> int:
@@ -148,30 +162,31 @@ def _forward(
     taps: list[Tap],
     reuse: bool,
 ) -> np.ndarray:
-    """Run the forward tile loop shared by both ranks; returns ``(N, C_out, L)``."""
-    n, c_in = x.shape[:2]
+    """Run the forward tile loop shared by both ranks on channel-major
+    ``x`` ``(C_in, N, *in)``; returns ``(C_out, N, *out)``."""
+    c_in, n = x.shape[:2]
     c_out = weight.shape[0]
     length = math.prod(out_shape)
     rows = c_in * len(taps)
     tile = _tile(n, rows, length, x.itemsize)
     w_mat = weight.reshape(c_out, rows)
     patches = _workspace((rows * tile * length,), x.dtype, reuse)
-    staging = _workspace((c_out * tile * length,), x.dtype, reuse)
-    out = _workspace((n, c_out, length), x.dtype, reuse)
+    out = _workspace((c_out, n * length), x.dtype, reuse)
+    zeroed = 0
     for start in range(0, n, tile):
         stop = min(start + tile, n)
-        size = (stop - start) * length
-        block = patches[: rows * size].reshape(c_in, len(taps), stop - start, *out_shape)
-        _fill(block, x[start:stop], taps)
-        product = staging[: c_out * size].reshape(c_out, stop - start, length)
-        np.matmul(w_mat, block.reshape(rows, size), out=product.reshape(c_out, size))
+        block = patches[: rows * (stop - start) * length].reshape(
+            c_in, len(taps), stop - start, *out_shape
+        )
+        _fill(block, x[:, start:stop], taps, zero=stop - start != zeroed)
+        zeroed = stop - start
+        # The tile's slab of the output: row stride N*L, which BLAS takes
+        # as its leading dimension, so the gemm writes it in place.
+        product = out[:, start * length : stop * length]
+        np.matmul(w_mat, block.reshape(rows, -1), out=product)
         if bias is not None:
-            # On the contiguous product each channel's bias spans n*L
-            # elements: one long vector run, where adding it during the
-            # transposed copy would run L at a time.
-            product += bias[:, None, None]
-        np.copyto(out[start:stop], product.transpose(1, 0, 2))
-    return out
+            product += bias[:, None]
+    return out.reshape(c_out, n, *out_shape)
 
 
 def _backward(
@@ -183,32 +198,31 @@ def _backward(
     need_gx: bool,
     need_gw: bool,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Walk the forward's tiles again; returns ``(gx, gw)``, each None
-    unless asked for."""
-    n, c_in = x.shape[:2]
+    """Walk the forward's tiles again over channel-major ``grad``
+    ``(C_out, N, *out)`` and ``x``; returns channel-major ``(gx, gw)``,
+    each None unless asked for."""
+    c_in, n = x.shape[:2]
     c_out = weight.shape[0]
     length = math.prod(out_shape)
     rows = c_in * len(taps)
     tile = _tile(n, rows, length, x.itemsize)
     w_mat = weight.reshape(c_out, rows)
-    grad = grad.reshape(n, c_out, length)
+    grad = grad.reshape(c_out, n * length)
     patches = np.empty(rows * tile * length, dtype=x.dtype)
-    staging = np.empty(c_out * tile * length, dtype=x.dtype)
     gx = np.zeros(x.shape, dtype=x.dtype) if need_gx else None
     gw = np.zeros((c_out, rows), dtype=x.dtype) if need_gw else None
     for start in range(0, n, tile):
         stop = min(start + tile, n)
         size = (stop - start) * length
-        g = staging[: c_out * size].reshape(c_out, stop - start, length)
-        np.copyto(g, grad[start:stop].transpose(1, 0, 2))
-        g = g.reshape(c_out, size)
         block = patches[: rows * size].reshape(c_in, len(taps), stop - start, *out_shape)
+        g = grad[:, start * length : stop * length]
         if gw is not None:
-            _fill(block, x[start:stop], taps)
+            # The previous tile's w.T @ g overwrote the frames.
+            _fill(block, x[:, start:stop], taps, zero=True)
             gw += g @ block.reshape(rows, size).T
         if gx is not None:
             np.matmul(w_mat.T, g, out=block.reshape(rows, size))
-            _scatter(gx[start:stop], block, taps)
+            _scatter(gx[:, start:stop], block, taps)
     return gx, (gw.reshape(weight.shape) if need_gw else None)
 
 
@@ -222,12 +236,14 @@ def conv2d_gemm(
     out_w: int,
     reuse: bool,
 ) -> np.ndarray:
-    """2-D cross-correlation of ``x`` ``(N, C_in, H, W)`` with ``weight``.
+    """2-D cross-correlation of channel-major ``x`` ``(C_in, N, H, W)``
+    with ``weight`` ``(C_out, C_in, KH, KW)``.
 
     ``x`` is the raw *unpadded* input; ``bias`` is ``(C_out,)`` or None;
     ``out_h``/``out_w`` are the output geometry the caller already
-    derived.  Returns the output, shaped ``(N, C_out, out_h * out_w)``;
-    with ``reuse`` set, it and the tile workspaces come from the arena.
+    derived.  Returns the channel-major output ``(C_out, N, out_h,
+    out_w)``; with ``reuse`` set, it and the tile workspace come from the
+    arena.
     """
     out_shape = (out_h, out_w)
     taps = _taps2d(x.shape[2:], out_shape, weight.shape[2:], stride, padding)
@@ -243,8 +259,9 @@ def conv2d_grads(
     need_gx: bool,
     need_gw: bool,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Input and weight gradients of :func:`conv2d_gemm`, given the output
-    gradient ``grad`` ``(N, C_out, out_h, out_w)``; each is None unless asked for."""
+    """Input and weight gradients of :func:`conv2d_gemm`, given the
+    channel-major output gradient ``grad`` ``(C_out, N, out_h, out_w)``;
+    ``gx`` is channel-major too, and each is None unless asked for."""
     out_shape = grad.shape[2:]
     taps = _taps2d(x.shape[2:], out_shape, weight.shape[2:], stride, padding)
     return _backward(grad, x, weight, out_shape, taps, need_gx, need_gw)
@@ -260,10 +277,11 @@ def conv1d_gemm(
     out_l: int,
     reuse: bool,
 ) -> np.ndarray:
-    """1-D (dilated) cross-correlation of ``x`` ``(N, C_in, L)`` with ``weight``.
+    """1-D (dilated) cross-correlation of channel-major ``x`` ``(C_in, N,
+    L)`` with ``weight`` ``(C_out, C_in, K)``.
 
-    Same contract as :func:`conv2d_gemm`: returns the ``(N, C_out, out_l)``
-    output.
+    Same contract as :func:`conv2d_gemm`: returns the channel-major
+    ``(C_out, N, out_l)`` output.
     """
     taps = _taps1d(x.shape[2], out_l, weight.shape[2], stride, padding, dilation)
     return _forward(x, weight, bias, (out_l,), taps, reuse)
@@ -279,8 +297,9 @@ def conv1d_grads(
     need_gx: bool,
     need_gw: bool,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Input and weight gradients of :func:`conv1d_gemm`, given the output
-    gradient ``grad`` ``(N, C_out, out_l)``; each is None unless asked for."""
+    """Input and weight gradients of :func:`conv1d_gemm`, given the
+    channel-major output gradient ``grad`` ``(C_out, N, out_l)``; each is
+    None unless asked for."""
     out_l = grad.shape[2]
     taps = _taps1d(x.shape[2], out_l, weight.shape[2], stride, padding, dilation)
     return _backward(grad, x, weight, (out_l,), taps, need_gx, need_gw)

@@ -5,15 +5,18 @@ ST-HSL uses 2-D convolutions over the region grid (Eq 2 of the paper) and
 1-D convolutions over the time axis (Eq 3); several baselines
 (ST-ResNet, STGCN, GWN, STDN, DMSTGCN) also build on these primitives.
 
-:func:`conv2d` and :func:`conv1d` run the tiled im2col kernel in
-:mod:`repro.nn.kernels` in both directions: its forward fills and
-contracts the batch-folded patch matrix one tile of images (or
-sequences) at a time and is one code path in both grad modes, keeping
-nothing but its output; its backward walks the same tiles again,
-refilling each tile's patches for the weight gradient and adding each
-tile's patch gradient onto the input gradient tap by tap.  This module
-owns everything around the kernel: argument checks, the output size,
-dtype promotion, autograd graph construction and the bias gradient.
+:func:`conv2d` and :func:`conv1d` keep the ``(N, C, *spatial)`` shape
+contract and run the tiled im2col kernel in :mod:`repro.nn.kernels`,
+which works on channel-major memory, C-contiguous ``(C, N, *spatial)``,
+in both directions.  Each op hands the kernel ``x.data.swapaxes(0, 1)``,
+copied only when it is not already channel-major, and returns the
+kernel's output viewed back with ``swapaxes(0, 1)``.  A caller that
+keeps its activations channel-major (ST-HSL's local encoders) pays no
+copy; one that passes C-contiguous ``(N, C, ...)`` arrays pays one.  The
+backward takes the output gradient the same way and hands back an input
+gradient over channel-major memory.  This module owns everything around
+the kernel: argument checks, the output size, dtype promotion, the
+layout swap, autograd graph construction and the bias gradient.
 
 :func:`time_conv` is paper Eq. 5's convolution: one shared kernel slid
 along axis 1 of a time-major ``(B, T, ..., d)`` tensor, as per-tap
@@ -59,6 +62,18 @@ def _promote(
     return arrays[0], arrays[1], (arrays[2] if bias is not None else None)
 
 
+def _channel_major(data: np.ndarray, reuse: bool) -> np.ndarray:
+    """``data`` ``(N, C, ...)`` as the kernel's C-contiguous ``(C, N, ...)``:
+    the swapped view when it already is, else one copy (from the arena
+    under ``reuse``)."""
+    view = data.swapaxes(0, 1)
+    if view.flags.c_contiguous:
+        return view
+    copy = _workspace(view.shape, view.dtype, reuse)
+    np.copyto(copy, view)
+    return copy
+
+
 def _accumulate(
     grad: np.ndarray,
     x: Tensor,
@@ -67,14 +82,21 @@ def _accumulate(
     gx: np.ndarray | None,
     gw: np.ndarray | None,
 ) -> None:
-    """Hand a conv's gradients to its inputs; the bias's is ``grad``
-    summed over every axis but the channel one."""
+    """Hand a conv's gradients to its inputs, given the channel-major
+    output gradient ``grad`` ``(C_out, N, ...)`` and ``gx``.
+
+    The bias's is ``grad`` summed over every axis but the channel one:
+    per item over the positions, then over the items in order — the
+    order a C-contiguous ``(N, C_out, L)`` sum over axes 0 and 2 takes,
+    so the sum does not depend on the memory layout.
+    """
     if bias is not None and bias.requires_grad:
-        Tensor._accum(bias, grad.reshape(*grad.shape[:2], -1).sum(axis=(0, 2)), own=True)
+        per_item = grad.reshape(*grad.shape[:2], -1).sum(axis=2)
+        Tensor._accum(bias, np.ascontiguousarray(per_item.T).sum(axis=0), own=True)
     if gw is not None:
         Tensor._accum(weight, gw, own=True)
     if gx is not None:
-        Tensor._accum(x, gx, own=True)
+        Tensor._accum(x, gx.swapaxes(0, 1), own=True)
 
 
 def conv2d(
@@ -107,8 +129,8 @@ def conv2d(
         raise ValueError(f"conv2d stride must be >= 1 on each axis, got {stride}")
     if min(ph, pw) < 0:
         raise ValueError(f"conv2d padding must be >= 0 on each axis, got {(ph, pw)}")
-    n, c_in, h, w = x.shape
-    c_out, c_in_w, kh, kw = weight.shape
+    _, c_in, h, w = x.shape
+    _, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"input channels {c_in} != weight channels {c_in_w}")
 
@@ -120,16 +142,18 @@ def conv2d(
             f"conv2d output size <= 0 (padded {h + 2 * ph}x{w + 2 * pw}, kernel {kh}x{kw})"
         )
     x_data, w_data, b_data = _promote(x, weight, bias)
+    x_data = _channel_major(x_data, inference)
     out_data = conv2d_gemm(
         x_data, w_data, b_data, stride, (ph, pw), out_h, out_w, reuse=inference
-    ).reshape(n, c_out, out_h, out_w)
+    ).swapaxes(0, 1)
     if inference:
         return Tensor._from_array(out_data)
 
     def backward(out: Tensor) -> None:
         wanted = x.requires_grad, weight.requires_grad
-        grads = conv2d_grads(out.grad, x_data, w_data, stride, (ph, pw), *wanted)
-        _accumulate(out.grad, x, weight, bias, *grads)
+        grad = _channel_major(out.grad, reuse=False)
+        grads = conv2d_grads(grad, x_data, w_data, stride, (ph, pw), *wanted)
+        _accumulate(grad, x, weight, bias, *grads)
 
     parents = [x, weight] + ([bias] if bias is not None else [])
     return Tensor._make(out_data, parents, backward)
@@ -162,7 +186,7 @@ def conv1d(
     if padding < 0:
         raise ValueError(f"conv1d padding must be >= 0, got {padding}")
     _, c_in, length = x.shape
-    c_out, c_in_w, k = weight.shape
+    _, c_in_w, k = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"input channels {c_in} != weight channels {c_in_w}")
 
@@ -171,14 +195,18 @@ def conv1d(
     if out_l <= 0:
         raise ValueError(f"conv1d output length <= 0 (L={length}, k={k}, dilation={dilation})")
     x_data, w_data, b_data = _promote(x, weight, bias)
-    out_data = conv1d_gemm(x_data, w_data, b_data, stride, padding, dilation, out_l, inference)
+    x_data = _channel_major(x_data, inference)
+    out_data = conv1d_gemm(
+        x_data, w_data, b_data, stride, padding, dilation, out_l, inference
+    ).swapaxes(0, 1)
     if inference:
         return Tensor._from_array(out_data)
 
     def backward(out: Tensor) -> None:
         wanted = x.requires_grad, weight.requires_grad
-        grads = conv1d_grads(out.grad, x_data, w_data, stride, padding, dilation, *wanted)
-        _accumulate(out.grad, x, weight, bias, *grads)
+        grad = _channel_major(out.grad, reuse=False)
+        grads = conv1d_grads(grad, x_data, w_data, stride, padding, dilation, *wanted)
+        _accumulate(grad, x, weight, bias, *grads)
 
     parents = [x, weight] + ([bias] if bias is not None else [])
     return Tensor._make(out_data, parents, backward)

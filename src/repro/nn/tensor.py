@@ -715,7 +715,15 @@ class Tensor:
             inverse = tuple(np.argsort(axes))
 
         def backward(out: Tensor) -> None:
-            Tensor._accum(self, out.grad.transpose(inverse) if inverse else out.grad.transpose())
+            grad = out.grad.transpose(inverse) if inverse else out.grad.transpose()
+            if grad.strides != self.data.strides:
+                # Lay the gradient out like the input, so a channel-major
+                # activation gets a channel-major gradient back.
+                laid_out = np.empty_like(self.data, dtype=grad.dtype)
+                np.copyto(laid_out, grad)
+                grad = laid_out
+            # out.grad is dead once this closure returns: adopt the view.
+            Tensor._accum(self, grad, own=True)
 
         return Tensor._make(self.data.transpose(axes) if axes else self.data.T, (self,), backward)
 

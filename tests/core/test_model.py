@@ -179,6 +179,40 @@ class TestInterpretation:
             model.hyperedge_relevance(_window(cfg))
 
 
+class TestConvSeams:
+    """The encoders call each layer's ``conv`` with an ``(N, C_in, *spatial)``
+    input, the contract ``perfbench/layers._conv_flops`` reads FLOPs from
+    (``args[0].shape``), and that input is a view over channel-major
+    memory, which the conv kernel reads without a copy."""
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["forward_batch", "predict_batch"])
+    def test_convs_get_channel_major_views(self, monkeypatch, grad):
+        # Every axis differs: B 2, T 5, rows 3, cols 4, C 6, d 7.
+        b, t, rows, cols, c, d = 2, 5, 3, 4, 6, 7
+        cfg = _cfg(rows=rows, cols=cols, num_categories=c, window=t, dim=d)
+        model = STHSL(cfg, seed=0)
+        calls = []
+        for conv in (nn.Conv2d, nn.Conv1d):
+            monkeypatch.setattr(conv, "forward", self._spy(conv.forward, conv.__name__, calls))
+        windows = np.random.default_rng(0).standard_normal((b, rows * cols, t, c))
+        if grad:
+            model.forward_batch(windows)
+        else:
+            model.predict_batch(windows)
+        r = rows * cols
+        assert calls == [("Conv2d", (b * t, c * d, rows, cols), True)] * cfg.num_spatial_layers + [
+            ("Conv1d", (b * r, c * d, t), True)
+        ] * cfg.num_temporal_layers
+
+    @staticmethod
+    def _spy(forward, name, calls):
+        def spy(conv, x):
+            calls.append((name, x.shape, x.data.swapaxes(0, 1).flags.c_contiguous))
+            return forward(conv, x)
+
+        return spy
+
+
 class TestSerialization:
     def test_state_roundtrip(self, tmp_path):
         cfg = _cfg()

@@ -145,3 +145,13 @@ class TestDropout:
     def test_zero_rate_identity(self):
         x = _t(5)
         assert F.dropout(x, 0.0, training=True, rng=RNG) is x
+
+    def test_mask_follows_index_order_and_output_keeps_the_layout(self):
+        # A swapaxes view of channel-major memory drops the same elements
+        # as its C-contiguous copy, and the product stays channel-major.
+        values = np.random.default_rng(5).standard_normal((3, 4, 5))
+        view = Tensor(np.ascontiguousarray(values.swapaxes(0, 1)).swapaxes(0, 1))
+        out = F.dropout(view, 0.4, training=True, rng=np.random.default_rng(6))
+        expected = F.dropout(Tensor(values), 0.4, training=True, rng=np.random.default_rng(6))
+        assert np.array_equal(out.data, expected.data)
+        assert out.data.swapaxes(0, 1).flags.c_contiguous

@@ -6,7 +6,9 @@ independent ones: ``scipy.signal.correlate2d`` and ``np.correlate`` for
 values, central differences for gradients.
 Every value case also runs on both execution paths — the graph-building
 forward and ``no_grad`` + ``use_arena`` — which must agree bit for bit,
-and both as one kernel tile and as several (the ``tiles`` fixture).
+both as one kernel tile and as several (the ``tiles`` fixture), and with
+the input laid out C-contiguous ``(N, C, ...)`` and channel-major (the
+``layout`` fixture), whose outputs and gradients must agree bit for bit.
 """
 
 import contextlib
@@ -69,13 +71,53 @@ def tiles(request, monkeypatch):
     return split
 
 
+@pytest.fixture(params=["nchw", "channel_major"])
+def layout(request):
+    """Lay out a conv's input in memory.
+
+    Returns ``lay(arrays)``, which leaves every array but the input (the
+    first) alone.  Under "nchw" the input stays a C-contiguous ``(N, C,
+    ...)`` array, which the conv copies once; under "channel_major" it is
+    passed as ``a.swapaxes(0, 1)`` of a C-contiguous ``(C, N, ...)``
+    array — the view ST-HSL's encoders hand their convs, which the kernel
+    reads in place.
+    """
+
+    def lay(arrays):
+        x, *rest = arrays
+        if request.param == "channel_major":
+            x = np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
+        return [x, *rest]
+
+    return lay
+
+
 def _both_paths(op, arrays, **kwargs):
-    """``op`` on the graph path and under no_grad + arena; they must be bitwise-equal."""
+    """``op`` on the graph path and under no_grad + arena, and on C-contiguous
+    copies of ``arrays``; all three must be bitwise-equal."""
     graph = op(*(Tensor(a, requires_grad=True) for a in arrays), **kwargs).data
     with no_grad(), use_arena(BufferArena()):
         fast = op(*(Tensor(a) for a in arrays), **kwargs).data.copy()
     assert np.array_equal(graph, fast)
+    contiguous = op(*(Tensor(np.ascontiguousarray(a)) for a in arrays), **kwargs).data
+    assert np.array_equal(graph, contiguous)
     return graph
+
+
+def _grads(fn, arrays):
+    """The analytic gradients of ``sum(fn(*arrays))``."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    fn(*inputs).sum().backward()
+    return [t.grad for t in inputs]
+
+
+def _gradcheck(fn, arrays, **settings):
+    """Gradcheck ``fn`` on ``arrays``; its gradients must also be
+    bitwise-equal to those of C-contiguous copies of ``arrays``."""
+    gradcheck(fn, [Tensor(a, requires_grad=True) for a in arrays], **settings)
+    contiguous = _grads(fn, [np.ascontiguousarray(a) for a in arrays])
+    for grad, expected in zip(_grads(fn, arrays), contiguous):
+        assert np.array_equal(grad, expected)
 
 
 def _pair(value):
@@ -136,8 +178,8 @@ class TestConv2dForward:
         "stride,padding",
         [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), ((1, 2), (2, 0)), ((2, 1), (0, 1))],
     )
-    def test_matches_scipy_on_both_paths(self, tiles, dtype, kernel, stride, padding):
-        x, w, b = _arrays(dtype, (BATCH, 3, 6, 7), (4, 3, *kernel), (4,))
+    def test_matches_scipy_on_both_paths(self, tiles, layout, dtype, kernel, stride, padding):
+        x, w, b = layout(_arrays(dtype, (BATCH, 3, 6, 7), (4, 3, *kernel), (4,)))
         tiles(conv2d, (x, w, b), stride=stride, padding=padding)
         out = _both_paths(conv2d, (x, w, b), stride=stride, padding=padding)
         assert out.dtype == dtype
@@ -146,11 +188,11 @@ class TestConv2dForward:
         )
 
     @pytest.mark.parametrize("wide", [1, 2], ids=["weight", "bias"])
-    def test_mixed_dtype_promotes_to_float64(self, wide):
+    def test_mixed_dtype_promotes_to_float64(self, layout, wide):
         # float32 input with float64 weights or bias: the whole call
         # computes in float64 (np.result_type of all three) and matches the
         # float64 reference at f64 tolerance.
-        arrays = _arrays("float32", (2, 3, 5, 6), (4, 3, 3, 3), (4,))
+        arrays = layout(_arrays("float32", (2, 3, 5, 6), (4, 3, 3, 3), (4,)))
         arrays[wide] = arrays[wide].astype(np.float64)
         out = _both_paths(conv2d, arrays, padding=1)
         assert out.dtype == np.float64
@@ -178,51 +220,48 @@ class TestConv2dForward:
 
 
 class TestConv2dBackward:
-    def test_gradcheck_plain(self):
-        gradcheck(lambda x, w: conv2d(x, w), [_t(2, 2, 5, 4), _t(3, 2, 3, 3)])
+    def test_gradcheck_plain(self, layout):
+        arrays = layout(_arrays("float64", (2, 2, 5, 4), (3, 2, 3, 3)))
+        _gradcheck(lambda x, w: conv2d(x, w), arrays)
 
-    def test_gradcheck_with_bias_padding_stride(self):
-        x, w, b = _t(1, 2, 5, 5), _t(2, 2, 3, 3), _t(2)
-        gradcheck(lambda x, w, b: conv2d(x, w, b, stride=2, padding=1), [x, w, b])
+    def test_gradcheck_with_bias_padding_stride(self, layout):
+        arrays = layout(_arrays("float64", (1, 2, 5, 5), (2, 2, 3, 3), (2,)))
+        _gradcheck(lambda x, w, b: conv2d(x, w, b, stride=2, padding=1), arrays)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_gradcheck_per_dtype(self, dtype):
-        arrays = _arrays(dtype, (2, 2, 5, 4), (3, 2, 3, 3), (3,))
-        gradcheck(
-            lambda x, w, b: conv2d(x, w, b, stride=1, padding=1),
-            [Tensor(a, requires_grad=True) for a in arrays],
-            **GRADCHECK_SETTINGS[dtype],
+    def test_gradcheck_per_dtype(self, layout, dtype):
+        arrays = layout(_arrays(dtype, (2, 2, 5, 4), (3, 2, 3, 3), (3,)))
+        _gradcheck(
+            lambda x, w, b: conv2d(x, w, b, stride=1, padding=1), arrays, **GRADCHECK_SETTINGS[dtype]
         )
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_gradcheck_strided_batch(self, tiles, dtype):
-        arrays = _arrays(dtype, (BATCH, 2, 6, 5), (3, 2, 3, 3), (3,))
+    def test_gradcheck_strided_batch(self, tiles, layout, dtype):
+        arrays = layout(_arrays(dtype, (BATCH, 2, 6, 5), (3, 2, 3, 3), (3,)))
         tiles(conv2d, arrays, stride=2, padding=1)
-        gradcheck(
-            lambda x, w, b: conv2d(x, w, b, stride=2, padding=1),
-            [Tensor(a, requires_grad=True) for a in arrays],
-            **GRADCHECK_SETTINGS[dtype],
+        _gradcheck(
+            lambda x, w, b: conv2d(x, w, b, stride=2, padding=1), arrays, **GRADCHECK_SETTINGS[dtype]
         )
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
     @pytest.mark.parametrize("stride,padding", [((1, 2), (2, 0)), ((2, 1), (0, 1))])
-    def test_gradcheck_per_axis_geometry(self, tiles, dtype, kernel, stride, padding):
-        arrays = _arrays(dtype, (BATCH, 2, 6, 7), (3, 2, *kernel), (3,))
+    def test_gradcheck_per_axis_geometry(self, tiles, layout, dtype, kernel, stride, padding):
+        arrays = layout(_arrays(dtype, (BATCH, 2, 6, 7), (3, 2, *kernel), (3,)))
         tiles(conv2d, arrays, stride=stride, padding=padding)
-        gradcheck(
+        _gradcheck(
             lambda x, w, b: conv2d(x, w, b, stride=stride, padding=padding),
-            [Tensor(a, requires_grad=True) for a in arrays],
+            arrays,
             **GRADCHECK_SETTINGS[dtype],
         )
 
-    def test_gradcheck_mixed_dtype(self):
+    def test_gradcheck_mixed_dtype(self, layout):
         # float32 input, float64 weights: the backward runs on the promoted
         # operands; the coarse f32 settings cover the f32 input's steps.
-        x, w, b = _arrays("float32", (2, 2, 5, 4), (3, 2, 3, 3), (3,))
-        gradcheck(
+        x, w, b = layout(_arrays("float32", (2, 2, 5, 4), (3, 2, 3, 3), (3,)))
+        _gradcheck(
             lambda x, w, b: conv2d(x, w, b, padding=1),
-            [Tensor(a, requires_grad=True) for a in (x, w.astype(np.float64), b)],
+            [x, w.astype(np.float64), b],
             **GRADCHECK_SETTINGS["float32"],
         )
 
@@ -236,8 +275,8 @@ class TestConvOutputContract:
 
     @pytest.mark.parametrize("w_dtype", DTYPES)
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (2, 1)])
-    def test_conv2d(self, tiles, w_dtype, stride, padding):
-        x, w, b = _arrays("float32", (BATCH, 3, 8, 8), (5, 3, 3, 3), (5,))
+    def test_conv2d(self, tiles, layout, w_dtype, stride, padding):
+        x, w, b = layout(_arrays("float32", (BATCH, 3, 8, 8), (5, 3, 3, 3), (5,)))
         w = w.astype(w_dtype)
         tiles(conv2d, (x, w, b), stride=stride, padding=padding)
         out = _both_paths(conv2d, (x, w, b), stride=stride, padding=padding)
@@ -250,8 +289,8 @@ class TestConvOutputContract:
 
     @pytest.mark.parametrize("w_dtype", DTYPES)
     @pytest.mark.parametrize("stride,padding,dilation", [(1, 1, 1), (1, 2, 2), (2, 0, 1)])
-    def test_conv1d(self, tiles, w_dtype, stride, padding, dilation):
-        x, w = _arrays("float32", (BATCH, 3, 16), (4, 3, 3))
+    def test_conv1d(self, tiles, layout, w_dtype, stride, padding, dilation):
+        x, w = layout(_arrays("float32", (BATCH, 3, 16), (4, 3, 3)))
         w = w.astype(w_dtype)
         tiles(conv1d, (x, w), stride=stride, padding=padding, dilation=dilation)
         out = _both_paths(conv1d, (x, w), stride=stride, padding=padding, dilation=dilation)
@@ -282,10 +321,10 @@ class TestConvOutputContract:
         ],
         ids=["conv2d", "conv1d"],
     )
-    def test_tiled_kernel_matches_one_tile(self, monkeypatch, dtype, op, shapes, kwargs):
+    def test_tiled_kernel_matches_one_tile(self, monkeypatch, layout, dtype, op, shapes, kwargs):
         # Not bitwise: BLAS picks its blocking by gemm shape, so tiles of
         # 2, 2 and 1 items may round differently from one 5-item gemm.
-        arrays = _arrays(dtype, *shapes)
+        arrays = layout(_arrays(dtype, *shapes))
         one_tile = op(*map(Tensor, arrays), **kwargs).data
         monkeypatch.setattr(kernels, "TILE_BYTES", _two_item_budget(op, arrays, **kwargs))
         tiled = op(*map(Tensor, arrays), **kwargs).data
@@ -335,22 +374,20 @@ class TestPaddingOnlyTaps:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @PADDING_ONLY_TAPS
-    def test_matches_reference_on_both_paths(self, tiles, dtype, op, shapes, kwargs, reference):
-        arrays = _arrays(dtype, *shapes)
+    def test_matches_reference_on_both_paths(
+        self, tiles, layout, dtype, op, shapes, kwargs, reference
+    ):
+        arrays = layout(_arrays(dtype, *shapes))
         tiles(op, arrays, **kwargs)
         out = _both_paths(op, arrays, **kwargs)
         np.testing.assert_allclose(out, reference(*arrays), **VALUE_TOL[dtype])
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @PADDING_ONLY_TAPS
-    def test_gradcheck(self, tiles, dtype, op, shapes, kwargs, reference):
-        arrays = _arrays(dtype, *shapes)
+    def test_gradcheck(self, tiles, layout, dtype, op, shapes, kwargs, reference):
+        arrays = layout(_arrays(dtype, *shapes))
         tiles(op, arrays, **kwargs)
-        gradcheck(
-            lambda x, w, b: op(x, w, b, **kwargs),
-            [Tensor(a, requires_grad=True) for a in arrays],
-            **GRADCHECK_SETTINGS[dtype],
-        )
+        _gradcheck(lambda x, w, b: op(x, w, b, **kwargs), arrays, **GRADCHECK_SETTINGS[dtype])
 
 
 class TestGraphForwardMemory:
@@ -382,6 +419,44 @@ class TestGraphForwardMemory:
         assert held < patch_matrix
         out.sum().backward()
         assert all(t.grad is not None for t in inputs)
+
+
+class TestChannelMajorInput:
+    """The kernel's layout is channel-major, so a conv reads an input passed
+    as the ``swapaxes(0, 1)`` of C-contiguous ``(C, N, ...)`` memory in
+    place, and copies a C-contiguous ``(N, C, ...)`` input once."""
+
+    @pytest.mark.parametrize(
+        "op,shapes,kwargs",
+        [
+            (conv2d, [(BATCH, 8, 16, 16), (2, 8, 3, 3), (2,)], {"padding": 1}),
+            (conv1d, [(BATCH, 8, 256), (2, 8, 3), (2,)], {"padding": 1}),
+        ],
+        ids=["conv2d", "conv1d"],
+    )
+    @pytest.mark.parametrize("layout,takes", [("nchw", 3), ("channel_major", 2)])
+    def test_warm_call_reads_a_channel_major_input_in_place(
+        self, op, shapes, kwargs, layout, takes
+    ):
+        x, w, b = _arrays("float64", *shapes)
+        if layout == "channel_major":
+            x = np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
+        x, w, b = Tensor(x), Tensor(w), Tensor(b)
+        arena = BufferArena()
+        with no_grad(), use_arena(arena):
+            op(x, w, b, **kwargs)  # warm: every buffer the call takes is pooled now
+            before = arena.hits + arena.misses
+            tracemalloc.start()
+            try:
+                op(x, w, b, **kwargs)
+                allocated = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # The arena hands out the tile workspace and the output, plus the
+        # input's copy when the input is not channel-major; nothing else
+        # allocates as much as the input.
+        assert arena.hits + arena.misses - before == takes
+        assert allocated < x.data.nbytes
 
 
 GRAD_MODES = pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
@@ -480,10 +555,10 @@ class TestConv1dForward:
         "stride,padding,dilation", [(1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2)]
     )
     def test_matches_correlate_on_both_paths(
-        self, tiles, dtype, channels, stride, padding, dilation
+        self, tiles, layout, dtype, channels, stride, padding, dilation
     ):
         c_in, c_out = channels
-        x, w, b = _arrays(dtype, (BATCH, c_in, 11), (c_out, c_in, 3), (c_out,))
+        x, w, b = layout(_arrays(dtype, (BATCH, c_in, 11), (c_out, c_in, 3), (c_out,)))
         tiles(conv1d, (x, w, b), stride=stride, padding=padding, dilation=dilation)
         out = _both_paths(conv1d, (x, w, b), stride=stride, padding=padding, dilation=dilation)
         assert out.dtype == dtype
@@ -492,8 +567,8 @@ class TestConv1dForward:
         )
 
     @pytest.mark.parametrize("wide", [1, 2], ids=["weight", "bias"])
-    def test_mixed_dtype_promotes_to_float64(self, wide):
-        arrays = _arrays("float32", (2, 3, 9), (4, 3, 3), (4,))
+    def test_mixed_dtype_promotes_to_float64(self, layout, wide):
+        arrays = layout(_arrays("float32", (2, 3, 9), (4, 3, 3), (4,)))
         arrays[wide] = arrays[wide].astype(np.float64)
         out = _both_paths(conv1d, arrays, padding=1)
         assert out.dtype == np.float64
@@ -517,53 +592,53 @@ class TestConv1dForward:
 
 
 class TestConv1dBackward:
-    def test_gradcheck_plain(self):
-        gradcheck(lambda x, w: conv1d(x, w), [_t(2, 2, 6), _t(3, 2, 3)])
+    def test_gradcheck_plain(self, layout):
+        _gradcheck(lambda x, w: conv1d(x, w), layout(_arrays("float64", (2, 2, 6), (3, 2, 3))))
 
-    def test_gradcheck_dilated_padded(self):
-        x, w, b = _t(1, 2, 8), _t(2, 2, 2), _t(2)
-        gradcheck(lambda x, w, b: conv1d(x, w, b, padding=2, dilation=2), [x, w, b])
+    def test_gradcheck_dilated_padded(self, layout):
+        arrays = layout(_arrays("float64", (1, 2, 8), (2, 2, 2), (2,)))
+        _gradcheck(lambda x, w, b: conv1d(x, w, b, padding=2, dilation=2), arrays)
 
-    def test_gradcheck_stride(self):
-        gradcheck(lambda x, w: conv1d(x, w, stride=2), [_t(1, 1, 9), _t(1, 1, 3)])
+    def test_gradcheck_stride(self, layout):
+        _gradcheck(
+            lambda x, w: conv1d(x, w, stride=2), layout(_arrays("float64", (1, 1, 9), (1, 1, 3)))
+        )
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_gradcheck_per_dtype(self, dtype):
-        arrays = _arrays(dtype, (2, 2, 7), (3, 2, 3), (3,))
-        gradcheck(
+    def test_gradcheck_per_dtype(self, layout, dtype):
+        arrays = layout(_arrays(dtype, (2, 2, 7), (3, 2, 3), (3,)))
+        _gradcheck(
             lambda x, w, b: conv1d(x, w, b, stride=1, padding=2, dilation=2),
-            [Tensor(a, requires_grad=True) for a in arrays],
+            arrays,
             **GRADCHECK_SETTINGS[dtype],
         )
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_gradcheck_strided_batch(self, tiles, dtype):
-        arrays = _arrays(dtype, (BATCH, 2, 9), (3, 2, 3), (3,))
+    def test_gradcheck_strided_batch(self, tiles, layout, dtype):
+        arrays = layout(_arrays(dtype, (BATCH, 2, 9), (3, 2, 3), (3,)))
         tiles(conv1d, arrays, stride=2, padding=1)
-        gradcheck(
-            lambda x, w, b: conv1d(x, w, b, stride=2, padding=1),
-            [Tensor(a, requires_grad=True) for a in arrays],
-            **GRADCHECK_SETTINGS[dtype],
+        _gradcheck(
+            lambda x, w, b: conv1d(x, w, b, stride=2, padding=1), arrays, **GRADCHECK_SETTINGS[dtype]
         )
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("channels", [(1, 1), (3, 2)], ids=["one_channel", "multi"])
     @pytest.mark.parametrize("stride,padding,dilation", [(2, 1, 1), (1, 2, 2), (2, 2, 2)])
-    def test_gradcheck_geometry(self, tiles, dtype, channels, stride, padding, dilation):
+    def test_gradcheck_geometry(self, tiles, layout, dtype, channels, stride, padding, dilation):
         c_in, c_out = channels
-        arrays = _arrays(dtype, (BATCH, c_in, 11), (c_out, c_in, 3), (c_out,))
+        arrays = layout(_arrays(dtype, (BATCH, c_in, 11), (c_out, c_in, 3), (c_out,)))
         tiles(conv1d, arrays, stride=stride, padding=padding, dilation=dilation)
-        gradcheck(
+        _gradcheck(
             lambda x, w, b: conv1d(x, w, b, stride=stride, padding=padding, dilation=dilation),
-            [Tensor(a, requires_grad=True) for a in arrays],
+            arrays,
             **GRADCHECK_SETTINGS[dtype],
         )
 
-    def test_gradcheck_mixed_dtype(self):
-        x, w, b = _arrays("float32", (2, 2, 9), (3, 2, 3), (3,))
-        gradcheck(
+    def test_gradcheck_mixed_dtype(self, layout):
+        x, w, b = layout(_arrays("float32", (2, 2, 9), (3, 2, 3), (3,)))
+        _gradcheck(
             lambda x, w, b: conv1d(x, w, b, padding=2, dilation=2),
-            [Tensor(a, requires_grad=True) for a in (x, w.astype(np.float64), b)],
+            [x, w.astype(np.float64), b],
             **GRADCHECK_SETTINGS["float32"],
         )
 

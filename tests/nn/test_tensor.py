@@ -304,6 +304,20 @@ class TestMaxGradientTies:
         assert np.allclose(a.grad, [[0.5, 0.0], [0.5, 0.0]])
 
 
+class TestTransposeGradientLayout:
+    """A transpose hands its input the gradient in the input's own memory
+    layout: a permuted view that already has it is adopted, anything else
+    is copied into it."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gradient_takes_the_input_layout(self, order):
+        x = Tensor(np.asarray(np.arange(6.0).reshape(2, 3), order=order), requires_grad=True)
+        weights = np.arange(6.0).reshape(3, 2)
+        (x.T * Tensor(weights)).sum().backward()
+        assert np.array_equal(x.grad, weights.T)
+        assert x.grad.strides == x.data.strides
+
+
 class TestBackwardBufferSafety:
     """Regression tests for the own= gradient-buffer adoption fast path."""
 
