@@ -15,7 +15,7 @@ from .. import nn
 from ..nn import Tensor
 from ..training.interface import ForecastModel
 
-__all__ = ["StatisticalBaseline", "GraphConv", "GatedTemporalConv", "flatten_window"]
+__all__ = ["StatisticalBaseline", "GraphConv", "GatedTemporalConv"]
 
 
 class StatisticalBaseline(ForecastModel):
@@ -88,9 +88,3 @@ class GatedTemporalConv(nn.Module):
     def forward(self, x: Tensor) -> Tensor:
         """``x``: (N, channels, T) -> same shape."""
         return self.filter_conv(x).tanh() * self.gate_conv(x).sigmoid()
-
-
-def flatten_window(window: np.ndarray) -> np.ndarray:
-    """``(R, W, C)`` history → per-region feature matrix ``(R, W*C)``."""
-    regions = window.shape[0]
-    return window.reshape(regions, -1)

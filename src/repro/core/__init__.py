@@ -5,14 +5,14 @@ from .embedding import CrimeEmbedding
 from .global_temporal import GlobalTemporalEncoder
 from .hypergraph import HypergraphEncoder
 from .infomax import HypergraphInfomax
-from .model import STHSL, STHSLLoss, STHSLOutput
+from .model import STHSL, STHSLLoss, STHSLViews
 from .spatial_conv import SpatialConvEncoder
 from .temporal_conv import TemporalConvEncoder
 
 __all__ = [
     "STHSLConfig",
     "STHSL",
-    "STHSLOutput",
+    "STHSLViews",
     "STHSLLoss",
     "CrimeEmbedding",
     "SpatialConvEncoder",

@@ -60,15 +60,11 @@ class GlobalTemporalEncoder(nn.Module):
         )
 
     def forward(self, gamma: Tensor) -> Tensor:
-        """Encode ``(T, RC, d)`` hypergraph embeddings into ``Γ^(T)``.
+        """Encode ``(B, T, RC, d)`` hypergraph embeddings into ``Γ^(T)``.
 
-        Also accepts a stacked batch ``(B, T, RC, d)``, which every layer
-        convolves along its time axis in one call.  Output keeps the
-        input layout.
+        Every layer convolves the stack along its time axis in one call.
+        Output keeps the input layout.
         """
-        squeeze = gamma.ndim == 3
-        if squeeze:
-            gamma = gamma.expand_dims(0)
         for layer in self.layers:
             gamma = layer(gamma)
-        return gamma.squeeze(0) if squeeze else gamma
+        return gamma

@@ -46,11 +46,10 @@ class HypergraphEncoder(nn.Module):
         )
 
     def forward(self, node_embeddings: Tensor) -> Tensor:
-        """Propagate ``(..., RC, d)`` node embeddings through hyperedges.
+        """Propagate ``(B, T, RC, d)`` node embeddings through hyperedges.
 
         Returns ``Γ^(R)`` of the same shape.  The same incidence matrix is
-        applied at each leading index, so both per-window ``(T, RC, d)``
-        and stacked-batch ``(B, T, RC, d)`` inputs run as one broadcast
+        applied at each leading index, so the stack runs as one broadcast
         matmul pair.
         """
         gathered = (self.incidence @ node_embeddings).leaky_relu(self.leaky_slope)
@@ -71,21 +70,17 @@ class HypergraphEncoder(nn.Module):
         ``"noise"`` perturbs node features with Gaussian noise instead — a
         corruption-strategy ablation beyond the paper.
 
-        Accepts ``(T, RC, d)`` or a stacked batch ``(B, T, RC, d)``.  In
-        the batched case each window draws its own permutation, in batch
-        order — exactly the permutations B sequential calls would draw, so
-        batched and per-sample training consume the RNG identically.
+        ``node_embeddings`` is a stack ``(B, T, RC, d)``.  Each window
+        draws its own permutation, in batch order — exactly the
+        permutations B sequential calls would draw, so batched and
+        per-sample training consume the RNG identically.
         """
         if strategy == "shuffle":
-            if node_embeddings.ndim == 4:
-                b, t, n, _ = node_embeddings.shape
-                perms = np.stack([rng.permutation(self.num_nodes) for _ in range(b)])
-                batch_idx = np.arange(b, dtype=np.intp).reshape(b, 1, 1)
-                time_idx = np.arange(t, dtype=np.intp).reshape(1, t, 1)
-                corrupted = node_embeddings[batch_idx, time_idx, perms[:, None, :]]
-            else:
-                permutation = rng.permutation(self.num_nodes)
-                corrupted = node_embeddings[:, permutation, :]
+            b, t, _, _ = node_embeddings.shape
+            perms = np.stack([rng.permutation(self.num_nodes) for _ in range(b)])
+            batch_idx = np.arange(b, dtype=np.intp).reshape(b, 1, 1)
+            time_idx = np.arange(t, dtype=np.intp).reshape(1, t, 1)
+            corrupted = node_embeddings[batch_idx, time_idx, perms[:, None, :]]
         elif strategy == "noise":
             noise = rng.standard_normal(node_embeddings.shape) * noise_scale
             corrupted = node_embeddings + Tensor(noise.astype(node_embeddings.dtype, copy=False))

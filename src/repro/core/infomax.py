@@ -40,20 +40,15 @@ class HypergraphInfomax(nn.Module):
     def forward(self, original: Tensor, corrupt: Tensor, num_regions: int) -> Tensor:
         """Infomax BCE loss ``L^(I)`` (Eq 7).
 
-        Both inputs are ``(T, RC, d)`` hypergraph embeddings — or stacked
-        batches ``(B, T, RC, d)``.  The readout Ψ (Eq 6) is per (time,
-        category) pair, so batched windows flatten into the time axis
-        without changing the objective.  Ψ is computed from the original
-        embeddings only.
+        Both inputs are stacked ``(B, T, RC, d)`` hypergraph embeddings.
+        The readout Ψ (Eq 6) is per (time, category) pair, so the windows
+        flatten into the time axis without changing the objective.  Ψ is
+        computed from the original embeddings only.
         """
-        if original.ndim > 3:
-            original = original.reshape(-1, original.shape[-2], original.shape[-1])
-        if corrupt.ndim > 3:
-            corrupt = corrupt.reshape(-1, corrupt.shape[-2], corrupt.shape[-1])
-        t, nodes, d = original.shape
+        nodes, d = original.shape[-2:]
         num_categories = nodes // num_regions
-        orig = original.reshape(t, num_regions, num_categories, d)
-        corr = corrupt.reshape(t, num_regions, num_categories, d)
+        orig = original.reshape(-1, num_regions, num_categories, d)
+        corr = corrupt.reshape(-1, num_regions, num_categories, d)
         summary = orig.mean(axis=1)  # Eq 6: Ψ_{t,c} = Σ_r Γ_{r,t,c} / R
         positive = self.scores(summary, orig)
         negative = self.scores(summary, corr)

@@ -17,6 +17,7 @@ import numpy as np
 from .. import nn
 from ..nn import Tensor
 from ..nn import functional as F
+from ..training.interface import ForecastModel
 from .config import STHSLConfig
 from .embedding import CrimeEmbedding
 from .global_temporal import GlobalTemporalEncoder
@@ -25,38 +26,28 @@ from .infomax import HypergraphInfomax
 from .spatial_conv import SpatialConvEncoder
 from .temporal_conv import TemporalConvEncoder
 
-__all__ = ["STHSL", "STHSLOutput", "STHSLBatchOutput", "STHSLLoss"]
+__all__ = ["STHSL", "STHSLViews", "STHSLLoss"]
 
 
 @dataclass
-class STHSLOutput:
-    """Forward-pass artefacts needed for the joint loss and analysis."""
+class STHSLViews:
+    """The forward's intermediate views, read by the joint loss and Figure 8.
 
-    prediction: Tensor  # (R, C), in normalised units
-    local: Tensor | None  # H^(T): (R, T, C, d) or None when disabled
-    global_nodes: Tensor | None  # Γ^(R): (T, RC, d) or None
-    global_temporal: Tensor | None  # Γ^(T): (T, RC, d) or None
-    #: Hypergraph input node embeddings (batched (1, T, RC, d)), consumed
-    #: by loss()'s corrupt-propagation term.  Carried on the output —
-    #: not cached on the module — so a concurrent predict from another
-    #: thread can never clobber a training step's nodes between its
-    #: forward and its loss.  None when the forward ran arena-backed
-    #: (the buffers are recycled at scope exit; loss() fails fast).
-    nodes: Tensor | None = None
+    The caller builds one and passes it to :meth:`STHSL.forward_batch`,
+    which fills it.  It lives in the caller's frame, never on the module,
+    so a concurrent predict from another thread cannot clobber a training
+    step's views between its forward and its loss.  A field is None when
+    its branch is disabled.
+    """
 
-
-@dataclass
-class STHSLBatchOutput:
-    """Forward-pass artefacts for a stacked batch of windows."""
-
-    prediction: Tensor  # (B, R, C), in normalised units
-    #: H^(T): (B, R, T, C, d) or None when disabled; a view over the
-    #: temporal encoder's channel-major (C, d, B, R, T) memory.
-    local: Tensor | None
-    global_nodes: Tensor | None  # Γ^(R): (B, T, RC, d) or None
-    global_temporal: Tensor | None  # Γ^(T): (B, T, RC, d) or None
-    #: Hypergraph input node embeddings (B, T, RC, d) for loss(); see
-    #: :class:`STHSLOutput.nodes` for the carry-on-output rationale.
+    prediction: Tensor | None = None  # (B, R, C), in normalised units
+    #: H^(T): (B, R, T, C, d), a view over the temporal encoder's
+    #: channel-major (C, d, B, R, T) memory.
+    local: Tensor | None = None
+    global_nodes: Tensor | None = None  # Γ^(R): (B, T, RC, d)
+    global_temporal: Tensor | None = None  # Γ^(T): (B, T, RC, d)
+    #: Hypergraph input node embeddings (B, T, RC, d), consumed by
+    #: loss()'s corrupt-propagation term and by hyperedge_relevance.
     nodes: Tensor | None = None
 
 
@@ -70,8 +61,14 @@ class STHSLLoss:
     contrastive: float
 
 
-class STHSL(nn.Module):
-    """Spatial-Temporal Hypergraph Self-Supervised Learning model."""
+class STHSL(ForecastModel):
+    """Spatial-Temporal Hypergraph Self-Supervised Learning model.
+
+    A :class:`~repro.training.interface.ForecastModel`: ``forward_batch``
+    returns the ``(B, R, C)`` prediction, and ``training_loss_batch`` adds
+    the self-supervised terms of Eq 10, which read the forward's
+    intermediate views (:class:`STHSLViews`).
+    """
 
     def __init__(self, config: STHSLConfig, seed: int = 0):
         super().__init__()
@@ -161,31 +158,8 @@ class STHSL(nn.Module):
     # ------------------------------------------------------------------
     # Forward
     # ------------------------------------------------------------------
-    def forward(self, window: np.ndarray) -> STHSLOutput:
-        """Run one normalised crime window ``(R, T, C)`` through the model.
-
-        Thin wrapper over :meth:`forward_batch` with a singleton batch; all
-        model code is batched-native, so per-sample and batched execution
-        share one numerical path.
-        """
-        window = np.asarray(window)
-        if window.ndim != 3:
-            raise ValueError(f"expected a (R, T, C) window, got shape {window.shape}")
-        out = self.forward_batch(window[None])
-
-        def _squeeze(tensor: Tensor | None) -> Tensor | None:
-            return tensor.squeeze(0) if tensor is not None else None
-
-        return STHSLOutput(
-            prediction=out.prediction.squeeze(0),
-            local=_squeeze(out.local),
-            global_nodes=_squeeze(out.global_nodes),
-            global_temporal=_squeeze(out.global_temporal),
-            nodes=out.nodes,  # kept batched: propagate_corrupt expects it
-        )
-
-    def forward_batch(self, windows: np.ndarray) -> STHSLBatchOutput:
-        """Run a stacked batch of normalised windows ``(B, R, T, C)``.
+    def forward_batch(self, windows: np.ndarray, views: STHSLViews | None = None) -> Tensor:
+        """Run a stacked batch of normalised windows ``(B, R, T, C)`` to ``(B, R, C)``.
 
         One vectorized pass: the convolutional encoders fold the batch into
         their image/sequence axes, the hypergraph broadcasts over it, so a
@@ -194,7 +168,17 @@ class STHSL(nn.Module):
         to the hypergraph, so the whole forward makes two full-size layout
         copies: spatial to temporal order, and into the hypergraph's
         ``(B, T, RC, d)``.
+
+        ``views``, when given, is filled with the intermediate views the
+        joint loss reads.  Requesting them under an active arena raises
+        ``RuntimeError``: the arena recycles those buffers when its scope
+        exits.
         """
+        if views is not None and nn.active_arena() is not None:
+            raise RuntimeError(
+                "forward_batch was asked for views inside use_arena, whose "
+                "buffers are recycled at scope exit; run it outside the arena"
+            )
         cfg = self.config
         windows = np.asarray(windows)
         if windows.ndim != 4:
@@ -222,24 +206,12 @@ class STHSL(nn.Module):
         # code), the hypergraph consumes the multi-view convolution output
         # when the local encoder is active, falling back to the raw crime
         # embeddings in the "w/o Local" ablation.
+        nodes: Tensor | None = None
         global_nodes: Tensor | None = None
         global_temporal: Tensor | None = None
-        nodes_for_loss: Tensor | None = None
         if self.hypergraph is not None:
             source = local if local is not None else embeddings
             nodes = source.transpose(0, 2, 1, 3, 4).reshape(b, t, r * c, cfg.dim)
-            if nn.is_grad_enabled() or nn.active_arena() is None:
-                # Carried on the output for loss()'s corrupt-propagation
-                # term (also under plain no_grad, so a no-grad loss
-                # evaluation still works).
-                nodes_for_loss = nodes
-            else:
-                # Arena-backed inference: the nodes live in recycled
-                # buffers that go stale when the predict scope exits, so
-                # the output deliberately carries None — a loss() on such
-                # an output fails fast rather than silently reusing the
-                # recycled embeddings.
-                nodes_for_loss = None
             global_nodes = self.hypergraph(nodes)
             global_temporal = (
                 self.global_temporal(global_nodes)
@@ -248,13 +220,13 @@ class STHSL(nn.Module):
             )
 
         prediction = self._predict_head(local, global_temporal, b, r, t, c)
-        return STHSLBatchOutput(
-            prediction=prediction,
-            local=local,
-            global_nodes=global_nodes,
-            global_temporal=global_temporal,
-            nodes=nodes_for_loss,
-        )
+        if views is not None:
+            views.prediction = prediction
+            views.local = local
+            views.global_nodes = global_nodes
+            views.global_temporal = global_temporal
+            views.nodes = nodes
+        return prediction
 
     def _predict_head(
         self,
@@ -289,50 +261,43 @@ class STHSL(nn.Module):
     # ------------------------------------------------------------------
     # Joint objective
     # ------------------------------------------------------------------
-    def loss(self, output: STHSLOutput | STHSLBatchOutput, target: np.ndarray) -> STHSLLoss:
+    def loss(self, views: STHSLViews, targets: np.ndarray) -> STHSLLoss:
         """Joint loss (Eq 10): prediction + λ1·L^(I) + λ2·L^(C).
 
-        ``target`` is the normalised next-day matrix ``(R, C)`` — or a
-        stacked batch ``(B, R, C)`` when ``output`` came from
-        :meth:`forward_batch`.  Every term is a mean over samples, so the
-        batched loss gradient equals the average of the per-sample loss
-        gradients (the equivalence tier-1 tests lock this).  The
-        weight-decay term λ3‖Θ‖² is applied by the optimiser.
+        ``views`` is what :meth:`forward_batch` filled for a stacked batch,
+        and ``targets`` the normalised next-day matrices ``(B, R, C)``.
+        Every term is a mean over samples, so the batched loss gradient
+        equals the average of the per-sample loss gradients (the
+        equivalence tier-1 tests lock this).  The weight-decay term
+        λ3‖Θ‖² is applied by the optimiser.
         """
         cfg = self.config
-        target = np.asarray(target, dtype=output.prediction.dtype)
-        pred_loss = F.mse_loss(output.prediction, target, reduction="mean")
+        targets = np.asarray(targets, dtype=views.prediction.dtype)
+        pred_loss = F.mse_loss(views.prediction, targets, reduction="mean")
         total = pred_loss
         infomax_value = 0.0
         contrastive_value = 0.0
 
-        if self.infomax is not None and output.global_nodes is not None:
-            if output.nodes is None:
-                raise RuntimeError(
-                    "output carries no node embeddings — forward() ran "
-                    "arena-backed (inside use_arena), whose buffers are "
-                    "recycled at scope exit; rerun forward() outside the "
-                    "arena to compute a loss"
-                )
+        if self.infomax is not None and views.global_nodes is not None:
             # Propagate over a corrupt (region-shuffled) structure (§III-D1);
             # the corrupt path stays differentiable so the incidence matrix
             # also learns from negative samples, as in Deep Graph Infomax.
             corrupt = self.hypergraph.propagate_corrupt(
-                output.nodes,
+                views.nodes,
                 self._corrupt_rng,
                 strategy=cfg.corruption,
                 noise_scale=cfg.corruption_noise_scale,
             )
-            infomax_loss = self.infomax(output.global_nodes, corrupt, cfg.num_regions)
+            infomax_loss = self.infomax(views.global_nodes, corrupt, cfg.num_regions)
             total = total + infomax_loss * cfg.lambda_infomax
             infomax_value = float(infomax_loss.data)
 
         if (
             cfg.use_contrastive
-            and output.local is not None
-            and output.global_temporal is not None
+            and views.local is not None
+            and views.global_temporal is not None
         ):
-            contrast_loss = self._contrastive(output.local, output.global_temporal)
+            contrast_loss = self._contrastive(views.local, views.global_temporal)
             total = total + contrast_loss * cfg.lambda_contrastive
             contrastive_value = float(contrast_loss.data)
 
@@ -356,9 +321,6 @@ class STHSL(nn.Module):
         cfg = self.config
         r = cfg.num_regions
         c = cfg.num_categories
-        if local.ndim == 4:  # unbatched (R, T, C, d) / (T, RC, d)
-            local = local.expand_dims(0)
-            global_temporal = global_temporal.expand_dims(0)
         b = local.shape[0]
         local_pooled = local.mean(axis=2)  # (B, R, C, d)
         global_pooled = global_temporal.mean(axis=1).reshape(b, r, c, cfg.dim)
@@ -366,44 +328,23 @@ class STHSL(nn.Module):
         positive = local_pooled.transpose(0, 2, 1, 3)
         return F.info_nce(anchor, positive, cfg.temperature)
 
-
-    def training_loss(self, window: np.ndarray, target: np.ndarray) -> Tensor:
-        """Joint objective for the trainer (matches ForecastModel's duck type)."""
-        output = self.forward(window)
-        return self.loss(output, target).total
-
     def training_loss_batch(self, windows: np.ndarray, targets: np.ndarray) -> Tensor:
-        """Joint objective over a stacked batch ``(B, R, T, C)`` / ``(B, R, C)``.
-
-        The returned loss is a mean over the batch, so its gradient equals
-        the average of ``B`` per-sample ``training_loss`` gradients — one
-        optimizer step per batch replaces ``B`` graph walks.
-        """
-        output = self.forward_batch(windows)
-        return self.loss(output, targets).total
-
-    def predict(self, window: np.ndarray) -> np.ndarray:
-        """Inference: normalised window in, normalised prediction out."""
-        self.eval()
-        with nn.no_grad(), nn.use_arena(self._inference_arena()):
-            return self.forward(window).prediction.data.copy()
-
-    def predict_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Batched inference: ``(B, R, T, C)`` in, ``(B, R, C)`` out."""
-        self.eval()
-        with nn.no_grad(), nn.use_arena(self._inference_arena()):
-            return self.forward_batch(windows).prediction.data.copy()
+        """Joint objective (Eq 10) over a stacked batch ``(B, R, T, C)`` / ``(B, R, C)``."""
+        views = STHSLViews()
+        self.forward_batch(windows, views)
+        return self.loss(views, targets).total
 
     def hyperedge_relevance(self, window: np.ndarray) -> np.ndarray:
         """Time-aware region-hyperedge dependency scores (Figure 8).
 
         Scores the node embeddings the forward feeds the hypergraph (the
         multi-view encoder's output, or the raw embeddings in "w/o
-        Local"), which a plain ``no_grad`` forward carries on its output.
+        Local"), read from the views of a plain ``no_grad`` forward.
         """
         if self.hypergraph is None:
             raise RuntimeError("hypergraph branch is disabled in this config")
         self.eval()
+        views = STHSLViews()
         with nn.no_grad():
-            nodes = self.forward_batch(np.asarray(window)[None]).nodes
-        return self.hypergraph.relevance(nodes.squeeze(0))
+            self.forward_batch(np.asarray(window)[None], views)
+        return self.hypergraph.relevance(views.nodes.squeeze(0))

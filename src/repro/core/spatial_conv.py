@@ -107,19 +107,14 @@ class SpatialConvEncoder(nn.Module):
         )
 
     def forward(self, embeddings: Tensor) -> Tensor:
-        """Encode embeddings into ``H^(R)`` of the same shape.
+        """Encode ``(B, R, T, C, d)`` embeddings into ``H^(R)`` of the same shape.
 
-        Accepts a single window ``(R, T, C, d)`` or a stacked batch
-        ``(B, R, T, C, d)``.  Batched windows share one conv invocation by
-        folding the batch into the image axis, channel-major: ``(C*d,
-        B*T, I, J)``.  The output is a view over that memory.
+        The windows share one conv invocation by folding the batch into
+        the image axis, channel-major: ``(C*d, B*T, I, J)``.  The output
+        is a view over that memory.
         """
-        squeeze = embeddings.ndim == 4
-        if squeeze:
-            embeddings = embeddings.expand_dims(0)
         b, r, t, c, d = embeddings.shape
         image = embeddings.transpose(3, 4, 0, 2, 1).reshape(c * d, b * t, self.rows, self.cols)
         for layer in self.layers:
             image = layer(image)
-        out = image.reshape(c, d, b, t, r).transpose(2, 4, 3, 0, 1)
-        return out.squeeze(0) if squeeze else out
+        return image.reshape(c, d, b, t, r).transpose(2, 4, 3, 0, 1)

@@ -67,17 +67,12 @@ class TemporalConvEncoder(nn.Module):
         )
 
     def forward(self, h_spatial: Tensor) -> Tensor:
-        """Encode ``(R, T, C, d)`` (or batched ``(B, R, T, C, d)``) into
-        ``H^(T)`` of the same shape, folding the batch into the conv's
-        sequence axis, channel-major: ``(C*d, B*R, T)``.  The output is a
-        view over that memory.
+        """Encode ``(B, R, T, C, d)`` into ``H^(T)`` of the same shape,
+        folding the batch into the conv's sequence axis, channel-major:
+        ``(C*d, B*R, T)``.  The output is a view over that memory.
         """
-        squeeze = h_spatial.ndim == 4
-        if squeeze:
-            h_spatial = h_spatial.expand_dims(0)
         b, r, t, c, d = h_spatial.shape
         sequence = h_spatial.transpose(3, 4, 0, 1, 2).reshape(c * d, b * r, t)
         for layer in self.layers:
             sequence = layer(sequence)
-        out = sequence.reshape(c, d, b, r, t).transpose(2, 3, 4, 0, 1)
-        return out.squeeze(0) if squeeze else out
+        return sequence.reshape(c, d, b, r, t).transpose(2, 3, 4, 0, 1)

@@ -16,7 +16,10 @@ Checks per (model, mode):
 
 ``shape``
     ``forward_batch`` on ``(B, R, T, C)`` must yield a floating
-    ``(B, R, C)``.  A model with no ``forward_batch`` is a shape problem,
+    ``(B, R, C)`` :class:`~repro.nn.Tensor`; anything else, a bare
+    ndarray included, is a shape problem, since
+    ``ForecastModel.predict_batch`` reads the result's ``.data``.  A
+    model with no ``forward_batch`` is a shape problem,
     and so is a builder or forward that raises, reported with the
     exception text and the line that raised (a ``ForecastModel``
     subclass that implements neither ``forward`` nor ``forward_batch``
@@ -226,11 +229,10 @@ def _run(report: ModelReport, geometry: CheckGeometry, context: str, fn, x, expe
             f"{context}: {len(leaks)} float64 result(s) reached Tensor._from_array "
             f"in float32 mode, first from {op}() with shape {geometry.dims(shape)}",
         )
-    payload = getattr(result, "prediction", result)
-    data = payload.data if isinstance(payload, Tensor) else payload
-    if not isinstance(data, np.ndarray):
-        report.add("shape", f"{context} returned {type(data).__name__}, not an array")
+    if not isinstance(result, Tensor):
+        report.add("shape", f"{context} returned {type(result).__name__}, not a Tensor")
         return
+    data = result.data
     if data.shape != expected:
         report.add(
             "shape",
@@ -303,7 +305,7 @@ class ShapeCheckPass(Pass):
     emits = {
         "model-shape-contract": (
             "a model's builder or forward_batch raises or is missing, or "
-            "breaks the (B, R, C) floating output contract"
+            "breaks the (B, R, C) floating Tensor output contract"
         ),
         "dtype-promotion-leak": (
             "a float32-mode forward returns non-float32 output or produces "

@@ -698,7 +698,10 @@ class Tensor:
             return Tensor._from_array(self.data.reshape(shape))
 
         def backward(out: Tensor) -> None:
-            Tensor._accum(self, out.grad.reshape(self.data.shape))
+            # out.grad is dead once this closure returns: adopt the reshaped
+            # gradient when it is C-contiguous, the layout a copy would have.
+            grad = out.grad.reshape(self.data.shape)
+            Tensor._accum(self, grad, own=grad.flags.c_contiguous)
 
         return Tensor._make(self.data.reshape(shape), (self,), backward)
 

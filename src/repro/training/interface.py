@@ -1,4 +1,4 @@
-"""Common forecasting-model interface shared by the baselines.
+"""Common forecasting-model interface: every registered model uses it.
 
 A forecasting model maps a stack of normalised history windows
 ``(B, R, W, C)`` to normalised next-day predictions ``(B, R, C)``.
@@ -17,7 +17,10 @@ directions, so a subclass implements one of:
 
 A subclass that implements neither recurses between the two defaults
 (the ``shapes`` lint pass reports it).  Models add auxiliary or
-non-MSE objectives by overriding ``training_loss_batch``.
+non-MSE objectives by overriding ``training_loss_batch``: ST-HSL
+(:class:`~repro.core.STHSL`) overrides it for the joint objective of
+paper Eq 10, whose self-supervised terms read the forward's
+intermediate views.
 
 Inference runs graph-free: ``predict_batch`` executes under
 :class:`~repro.nn.tensor.no_grad` with a per-model, *per-thread*

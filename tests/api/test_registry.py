@@ -6,6 +6,7 @@ import pytest
 from repro.api import REGISTRY, ModelGeometry, ModelRegistry
 from repro.baselines import BASELINE_NAMES
 from repro.data import load_city
+from repro.training.interface import ForecastModel
 
 GEOMETRY = ModelGeometry(rows=4, cols=4, num_categories=4)
 WINDOW = 10
@@ -35,6 +36,18 @@ class TestCompleteness:
             REGISTRY.spec("NotAModel")
 
 
+class TestOneContract:
+    """Every registered model is a ``ForecastModel`` and inherits its
+    per-window and inference adaptors, so they exist once."""
+
+    @pytest.mark.parametrize("name", REGISTRY.names())
+    def test_model_inherits_the_forecast_model_adaptors(self, name):
+        model = REGISTRY.build(name, geometry=GEOMETRY, window=WINDOW, hidden=8, seed=0)
+        assert isinstance(model, ForecastModel), name
+        for method in ("predict_batch", "predict", "training_loss"):
+            assert getattr(type(model), method) is getattr(ForecastModel, method), (name, method)
+
+
 class TestCapabilities:
     def test_statistical_models_skip_training(self):
         for name in ("ARIMA", "HA"):
@@ -53,8 +66,7 @@ class TestGraphFreePredictIdentity:
         # Graph-building reference: eval mode (dropout off) but gradients
         # recording — the op path predict skipped before the fast path.
         model.eval()
-        reference = model.forward(window)
-        reference = getattr(reference, "prediction", reference).data
+        reference = model.forward(window).data
         for _ in range(2):  # second call runs on recycled arena buffers
             fast = model.predict(window)
             assert np.array_equal(reference, fast), name
@@ -64,8 +76,7 @@ class TestGraphFreePredictIdentity:
         model = REGISTRY.build(name, geometry=GEOMETRY, window=WINDOW, hidden=8, seed=0)
         windows = np.random.default_rng(8).standard_normal((3, GEOMETRY.num_regions, WINDOW, 4))
         model.eval()
-        reference = model.forward_batch(windows)
-        reference = getattr(reference, "prediction", reference).data
+        reference = model.forward_batch(windows).data
         for _ in range(2):
             fast = model.predict_batch(windows)
             assert np.array_equal(reference, fast), name

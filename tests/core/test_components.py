@@ -24,21 +24,21 @@ def _rng():
 class TestCrimeEmbedding:
     def test_shape(self):
         emb = CrimeEmbedding(num_categories=3, dim=5, rng=_rng())
-        out = emb(RNG.standard_normal((4, 6, 3)))
-        assert out.shape == (4, 6, 3, 5)
+        out = emb(RNG.standard_normal((4, 6, 3))[None])
+        assert out.shape == (1, 4, 6, 3, 5)
 
     def test_eq1_scaling(self):
         """e_{r,t,c} = x_{r,t,c} · e_c exactly (Eq 1 after Z-score)."""
         emb = CrimeEmbedding(num_categories=2, dim=3, rng=_rng())
-        window = np.zeros((1, 1, 2))
-        window[0, 0, 0] = 2.0
-        out = emb(window)
-        assert np.allclose(out.data[0, 0, 0], 2.0 * emb.type_embedding.data[0])
-        assert np.allclose(out.data[0, 0, 1], 0.0)
+        windows = np.zeros((1, 1, 1, 2))
+        windows[0, 0, 0, 0] = 2.0
+        out = emb(windows).data[0]
+        assert np.allclose(out[0, 0, 0], 2.0 * emb.type_embedding.data[0])
+        assert np.allclose(out[0, 0, 1], 0.0)
 
     def test_gradients_reach_type_embedding(self):
         emb = CrimeEmbedding(num_categories=2, dim=3, rng=_rng())
-        emb(RNG.standard_normal((2, 3, 2))).sum().backward()
+        emb(RNG.standard_normal((2, 3, 2))[None]).sum().backward()
         assert emb.type_embedding.grad is not None
 
 
@@ -59,8 +59,8 @@ class TestSpatialConvEncoder:
 
     def test_shape_preserved(self):
         enc = self._encoder()
-        x = Tensor(RNG.standard_normal((12, 5, 2, 4)))
-        assert enc(x).shape == (12, 5, 2, 4)
+        x = Tensor(RNG.standard_normal((12, 5, 2, 4))[None])
+        assert enc(x).shape == (1, 12, 5, 2, 4)
 
     def test_spatial_locality(self):
         """With 2 layers of 3x3 kernels the receptive field is 5x5: a
@@ -71,11 +71,11 @@ class TestSpatialConvEncoder:
             dropout=0.0, leaky_slope=0.2, cross_category=True, rng=_rng(),
         )
         enc.eval()
-        base = np.zeros((64, 1, 1, 2))
+        base = np.zeros((1, 64, 1, 1, 2))
         bumped = base.copy()
-        bumped[0] += 1.0  # region (0,0)
-        out_base = enc(Tensor(base)).data
-        out_bumped = enc(Tensor(bumped)).data
+        bumped[0, 0] += 1.0  # region (0,0)
+        out_base = enc(Tensor(base)).data[0]
+        out_bumped = enc(Tensor(bumped)).data[0]
         far_corner = 63  # region (7,7), far outside the receptive field
         assert np.allclose(out_base[far_corner], out_bumped[far_corner])
         assert not np.allclose(out_base[0], out_bumped[0])
@@ -83,21 +83,21 @@ class TestSpatialConvEncoder:
     def test_cross_category_mixing(self):
         """Full channel mixing lets category 0 influence category 1;
         the w/o C-Conv variant must not."""
-        x_base = np.zeros((12, 1, 2, 4))
+        x_base = np.zeros((1, 12, 1, 2, 4))
         x_bump = x_base.copy()
-        x_bump[:, :, 0, :] = 1.0  # perturb category 0 only
+        x_bump[..., 0, :] = 1.0  # perturb category 0 only
 
         mixed = self._encoder(cross_category=True)
         mixed.eval()
         delta_mixed = np.abs(
-            mixed(Tensor(x_bump)).data[:, :, 1] - mixed(Tensor(x_base)).data[:, :, 1]
+            mixed(Tensor(x_bump)).data[..., 1, :] - mixed(Tensor(x_base)).data[..., 1, :]
         ).max()
         assert delta_mixed > 0
 
         separate = self._encoder(cross_category=False)
         separate.eval()
         delta_sep = np.abs(
-            separate(Tensor(x_bump)).data[:, :, 1] - separate(Tensor(x_base)).data[:, :, 1]
+            separate(Tensor(x_bump)).data[..., 1, :] - separate(Tensor(x_base)).data[..., 1, :]
         ).max()
         assert delta_sep == pytest.approx(0.0, abs=1e-12)
 
@@ -111,18 +111,18 @@ class TestTemporalConvEncoder:
 
     def test_shape_preserved(self):
         enc = self._encoder()
-        x = Tensor(RNG.standard_normal((5, 8, 2, 3)))
-        assert enc(x).shape == (5, 8, 2, 3)
+        x = Tensor(RNG.standard_normal((5, 8, 2, 3))[None])
+        assert enc(x).shape == (1, 5, 8, 2, 3)
 
     def test_temporal_locality(self):
         """Two k=3 layers see +-2 days: day 0 cannot affect day 7."""
         enc = self._encoder()
         enc.eval()
-        base = np.zeros((1, 10, 2, 3))
+        base = np.zeros((1, 1, 10, 2, 3))
         bump = base.copy()
-        bump[:, 0] += 1.0
-        out_base = enc(Tensor(base)).data
-        out_bump = enc(Tensor(bump)).data
+        bump[:, :, 0] += 1.0
+        out_base = enc(Tensor(base)).data[0]
+        out_bump = enc(Tensor(bump)).data[0]
         assert np.allclose(out_base[:, 7:], out_bump[:, 7:])
         assert not np.allclose(out_base[:, 0], out_bump[:, 0])
 
@@ -130,10 +130,10 @@ class TestTemporalConvEncoder:
         """Temporal convs never mix regions."""
         enc = self._encoder()
         enc.eval()
-        base = np.zeros((3, 6, 2, 3))
+        base = np.zeros((1, 3, 6, 2, 3))
         bump = base.copy()
-        bump[0] += 1.0
-        assert np.allclose(enc(Tensor(base)).data[1:], enc(Tensor(bump)).data[1:])
+        bump[0, 0] += 1.0
+        assert np.allclose(enc(Tensor(base)).data[0, 1:], enc(Tensor(bump)).data[0, 1:])
 
 
 class TestHypergraphEncoder:
@@ -154,7 +154,7 @@ class TestHypergraphEncoder:
 
     def test_corrupt_propagation_differs(self):
         enc = HypergraphEncoder(num_nodes=12, num_hyperedges=4, leaky_slope=0.2, rng=_rng())
-        nodes = Tensor(RNG.standard_normal((2, 12, 3)))
+        nodes = Tensor(RNG.standard_normal((2, 12, 3))[None])
         original = enc(nodes)
         corrupt = enc.propagate_corrupt(nodes, np.random.default_rng(3))
         assert not np.allclose(original.data, corrupt.data)
@@ -186,18 +186,18 @@ class TestGlobalTemporalEncoder:
         enc = GlobalTemporalEncoder(
             dim=4, kernel_size=3, num_layers=4, dropout=0.0, leaky_slope=0.2, rng=_rng()
         )
-        out = enc(Tensor(RNG.standard_normal((6, 10, 4))))
-        assert out.shape == (6, 10, 4)
+        out = enc(Tensor(RNG.standard_normal((6, 10, 4))[None]))
+        assert out.shape == (1, 6, 10, 4)
 
     def test_mixes_time(self):
         enc = GlobalTemporalEncoder(
             dim=2, kernel_size=3, num_layers=1, dropout=0.0, leaky_slope=0.2, rng=_rng()
         )
         enc.eval()
-        base = np.zeros((5, 3, 2))
+        base = np.zeros((1, 5, 3, 2))
         bump = base.copy()
-        bump[2] += 1.0
-        delta = np.abs(enc(Tensor(bump)).data - enc(Tensor(base)).data)
+        bump[0, 2] += 1.0
+        delta = np.abs(enc(Tensor(bump)).data - enc(Tensor(base)).data)[0]
         assert (delta[1] > 0).any() and (delta[3] > 0).any()  # neighbours in time
         assert np.allclose(delta[0], 0.0)  # outside k=3 receptive field
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import STHSL, STHSLConfig
+from repro.core import STHSL, STHSLConfig, STHSLViews
 
 RNG = np.random.default_rng(0)
 
@@ -28,15 +28,25 @@ def _target(cfg, seed=1):
     return rng.standard_normal((cfg.num_regions, cfg.num_categories))
 
 
+def _views(model, window):
+    """The views a ``B=1`` ``forward_batch`` of ``window`` fills."""
+    views = STHSLViews()
+    model.forward_batch(window[None], views)
+    return views
+
+
 class TestForward:
     def test_output_shapes(self):
         cfg = _cfg()
         model = STHSL(cfg, seed=0)
-        out = model(_window(cfg))
-        assert out.prediction.shape == (16, 2)
-        assert out.local.shape == (16, 8, 2, 4)
-        assert out.global_nodes.shape == (8, 32, 4)
-        assert out.global_temporal.shape == (8, 32, 4)
+        views = STHSLViews()
+        prediction = model.forward_batch(_window(cfg)[None], views)
+        assert views.prediction is prediction
+        assert prediction.shape == (1, 16, 2)
+        assert views.local.shape == (1, 16, 8, 2, 4)
+        assert views.global_nodes.shape == (1, 8, 32, 4)
+        assert views.global_temporal.shape == (1, 8, 32, 4)
+        assert views.nodes.shape == (1, 8, 32, 4)
 
     def test_wrong_geometry_raises(self):
         cfg = _cfg()
@@ -62,29 +72,29 @@ class TestAblationVariants:
     def test_wo_hyper_has_no_global_branch(self):
         cfg = _cfg(use_hypergraph=False, use_global=False, use_infomax=False, use_contrastive=False)
         model = STHSL(cfg, seed=0)
-        out = model(_window(cfg))
-        assert out.global_nodes is None
-        assert out.prediction.shape == (16, 2)
+        views = _views(model, _window(cfg))
+        assert views.global_nodes is None
+        assert views.prediction.shape == (1, 16, 2)
 
     def test_wo_local(self):
         cfg = _cfg(use_local=False, use_contrastive=False)
         model = STHSL(cfg, seed=0)
-        out = model(_window(cfg))
-        assert out.local is None
-        assert out.prediction.shape == (16, 2)
+        views = _views(model, _window(cfg))
+        assert views.local is None
+        assert views.prediction.shape == (1, 16, 2)
 
     def test_wo_global_temporal_passthrough(self):
         cfg = _cfg(use_global_temporal=False)
         model = STHSL(cfg, seed=0)
-        out = model(_window(cfg))
-        assert np.allclose(out.global_temporal.data, out.global_nodes.data)
+        views = _views(model, _window(cfg))
+        assert np.allclose(views.global_temporal.data, views.global_nodes.data)
 
     def test_fusion_path(self):
         cfg = _cfg(fusion=True, use_contrastive=False)
         model = STHSL(cfg, seed=0)
         assert model.fusion_layer is not None
-        out = model(_window(cfg))
-        assert out.prediction.shape == (16, 2)
+        views = _views(model, _window(cfg))
+        assert views.prediction.shape == (1, 16, 2)
 
     def test_wo_sconv_skips_spatial(self):
         cfg = _cfg(use_spatial_conv=False)
@@ -101,8 +111,7 @@ class TestLoss:
     def test_loss_components_present(self):
         cfg = _cfg()
         model = STHSL(cfg, seed=0)
-        out = model(_window(cfg))
-        loss = model.loss(out, _target(cfg))
+        loss = model.loss(_views(model, _window(cfg)), _target(cfg)[None])
         assert loss.prediction > 0
         assert loss.infomax > 0
         assert loss.contrastive > 0
@@ -116,8 +125,7 @@ class TestLoss:
     def test_ssl_terms_zero_when_disabled(self):
         cfg = _cfg(use_infomax=False, use_contrastive=False)
         model = STHSL(cfg, seed=0)
-        out = model(_window(cfg))
-        loss = model.loss(out, _target(cfg))
+        loss = model.loss(_views(model, _window(cfg)), _target(cfg)[None])
         assert loss.infomax == 0.0
         assert loss.contrastive == 0.0
         assert float(loss.total.data) == pytest.approx(loss.prediction)
@@ -125,8 +133,7 @@ class TestLoss:
     def test_all_parameters_receive_gradients(self):
         cfg = _cfg()
         model = STHSL(cfg, seed=0)
-        out = model(_window(cfg))
-        model.loss(out, _target(cfg)).total.backward()
+        model.loss(_views(model, _window(cfg)), _target(cfg)[None]).total.backward()
         missing = [name for name, p in model.named_parameters() if p.grad is None]
         assert missing == []
 
@@ -226,41 +233,42 @@ class TestSerialization:
 
 
 class TestNodeCacheLifecycle:
-    """loss() consumes the node embeddings carried on the forward output;
-    arena-backed inference outputs carry None and fail fast."""
+    """loss() consumes the views the caller's forward filled; views are
+    never filled under an arena, whose buffers are recycled."""
 
     def test_loss_works_under_plain_no_grad(self):
         cfg = _cfg()
         model = STHSL(cfg, seed=0)
         model.eval()
         with nn.no_grad():
-            out = model(_window(cfg))
-            loss = model.loss(out, _target(cfg))
+            loss = model.loss(_views(model, _window(cfg)), _target(cfg)[None])
         assert np.isfinite(float(loss.total.data))
 
     def test_predict_between_forward_and_loss_is_harmless(self):
-        """The nodes ride on the output, not the module, so an interleaved
-        (even concurrent) predict cannot clobber a training step's loss."""
+        """The views live in the caller's frame, not on the module, so an
+        interleaved (even concurrent) predict cannot clobber a training
+        step's loss."""
         cfg = _cfg()
         model = STHSL(cfg, seed=0)
         model.train()
-        out = model(_window(cfg))
-        reference = model(_window(cfg))  # same weights, same window
+        views = _views(model, _window(cfg))
+        reference = _views(model, _window(cfg))  # same weights, same window
         model.predict(_window(cfg, seed=3))  # arena-backed, must not interfere
         model.train()
-        loss = model.loss(out, _target(cfg))
+        loss = model.loss(views, _target(cfg)[None])
         assert np.isfinite(float(loss.total.data))
-        assert out.nodes is not None and reference.nodes is not None
+        assert views.nodes is not None and reference.nodes is not None
 
     def test_loss_on_arena_backed_output_fails_fast(self):
+        """Requesting views under ``use_arena`` raises before any compute."""
         cfg = _cfg()
         model = STHSL(cfg, seed=0)
         model.eval()
+        views = STHSLViews()
         with nn.no_grad(), nn.use_arena(nn.BufferArena()):
-            out = model(_window(cfg))  # nodes live in recycled buffers
-            assert out.nodes is None
-        with pytest.raises(RuntimeError, match="forward"):
-            model.loss(out, _target(cfg))
+            with pytest.raises(RuntimeError, match="use_arena"):
+                model.forward_batch(_window(cfg)[None], views)
+        assert views == STHSLViews()  # nothing was filled
 
     def test_training_after_predict_recovers(self):
         cfg = _cfg()

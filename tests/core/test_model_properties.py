@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import STHSL, STHSLConfig
+from repro.core import STHSL, STHSLConfig, STHSLViews
 from repro.nn import functional as F
 from repro.nn import Tensor
 
@@ -72,8 +72,9 @@ class TestStructuralInvariances:
     def test_loss_nonnegative_components(self, seed):
         rng = np.random.default_rng(seed)
         model = STHSL(_cfg(), seed=0)
-        out = model(rng.standard_normal((9, 6, 2)))
-        loss = model.loss(out, rng.standard_normal((9, 2)))
+        views = STHSLViews()
+        model.forward_batch(rng.standard_normal((9, 6, 2))[None], views)
+        loss = model.loss(views, rng.standard_normal((9, 2))[None])
         assert loss.prediction >= 0
         assert loss.infomax >= 0
         # InfoNCE over finite negatives is positive.

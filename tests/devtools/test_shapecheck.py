@@ -7,12 +7,14 @@ Two layers, mirroring the implementation:
   --check shapes` gates CI on) and on a second, taller and larger one;
 * **seeded violations** — toy models with a deliberate shape break,
   dtype leak, broadcast of two different dims, hard-coded batch size,
-  missing ``forward_batch`` and raising builder, each detected with the
-  right problem kind and, through the lint pass, the right rule id
-  anchored at a real ``path:line``.
+  non-Tensor output, missing ``forward_batch`` and raising builder,
+  each detected with the right problem kind and, through the lint pass,
+  the right rule id anchored at a real ``path:line``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -87,7 +89,7 @@ class _ShapeBroken:
         return self
 
     def forward_batch(self, windows):
-        return np.mean(windows, axis=3)
+        return Tensor(np.mean(windows, axis=3))
 
 
 class _DtypeLeaky:
@@ -101,7 +103,7 @@ class _DtypeLeaky:
 
     def forward_batch(self, windows):
         xf = windows.astype(np.float32)
-        return xf[:, :, -1, :] @ self._w  # promotes back to float64
+        return Tensor(xf[:, :, -1, :] @ self._w)  # promotes back to float64
 
 
 class _TensorLeakCastBack:
@@ -115,7 +117,7 @@ class _TensorLeakCastBack:
 
     def forward_batch(self, windows):
         x = Tensor(np.asarray(windows, dtype=np.float32))
-        return (x[:, :, -1, :] @ self._w).data.astype(np.float32)
+        return Tensor((x[:, :, -1, :] @ self._w).data.astype(np.float32))
 
 
 class _BroadcastDifferentDims:
@@ -128,7 +130,7 @@ class _BroadcastDifferentDims:
         t = np.sum(windows, axis=(0, 1, 3))  # (T,)
         r = np.sum(windows, axis=(0, 2, 3))  # (R,)
         _ = t + r  # only legal when window == num_regions
-        return np.mean(windows, axis=2)
+        return Tensor(np.mean(windows, axis=2))
 
 
 class _NoForwardBatch:
@@ -152,9 +154,28 @@ class _BatchConcretiser:
         return self
 
     def forward_batch(self, windows):
-        return np.zeros(
-            (GEOMETRY.batch_sizes[0], windows.shape[1], windows.shape[3]), dtype=np.float64
+        return Tensor(
+            np.zeros((GEOMETRY.batch_sizes[0], windows.shape[1], windows.shape[3]), dtype=np.float64)
         )
+
+
+@dataclass
+class _Views:
+    prediction: Tensor
+
+
+class _DataclassOutput(ForecastModel):
+    """Returns the right (B, R, C) Tensor, but inside a dataclass."""
+
+    def forward_batch(self, windows):
+        return _Views(Tensor(np.mean(windows, axis=2)))
+
+
+class _BareArrayOutput(ForecastModel):
+    """Returns the right (B, R, C) values as a bare ndarray."""
+
+    def forward_batch(self, windows):
+        return np.mean(windows, axis=2)
 
 
 def _spec(model_cls, name="toy", accepts_dtype=False):
@@ -216,6 +237,20 @@ def test_missing_forward_batch_is_one_shape_finding(monkeypatch):
     findings = run_lint(checks=["shapes"]).unsuppressed
     assert [f.rule for f in findings] == ["model-shape-contract"]
     assert "has no forward_batch" in findings[0].message
+
+
+@pytest.mark.parametrize(
+    "model_cls,returned", [(_DataclassOutput, "_Views"), (_BareArrayOutput, "ndarray")]
+)
+def test_non_tensor_output_is_a_shape_finding(model_cls, returned, monkeypatch):
+    # ForecastModel.predict_batch reads the result's .data, so only a
+    # Tensor keeps the contract, however right the carried values are.
+    report = check_model(_spec(model_cls))
+    assert [p.kind for p in report.problems] == ["shape"] * len(GEOMETRY.batch_sizes)
+    assert f"forward_batch(B=2) returned {returned}, not a Tensor" in report.problems[0].message
+    monkeypatch.setattr(shapes, "check_registry", lambda: [report])
+    findings = run_lint(checks=["shapes"]).unsuppressed
+    assert [f.rule for f in findings] == ["model-shape-contract"] * len(GEOMETRY.batch_sizes)
 
 
 def test_forecast_model_with_neither_forward_is_a_shape_problem():

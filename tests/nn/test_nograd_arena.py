@@ -201,7 +201,7 @@ class TestBufferArena:
         model.predict_batch(windows)
         assert arena.nbytes <= warmed
         model.eval()
-        assert np.array_equal(tail, model.forward_batch(windows[:3]).prediction.data)
+        assert np.array_equal(tail, model.forward_batch(windows[:3]).data)
 
 
 class TestMultiTileModel:
@@ -223,7 +223,7 @@ class TestMultiTileModel:
         assert model.release_arena().stats()["nbytes"] < patch_matrix
         assert patch_matrix >= 3 * nn.kernels.TILE_BYTES
         model.eval()
-        assert np.array_equal(prediction, model.forward_batch(windows).prediction.data)
+        assert np.array_equal(prediction, model.forward_batch(windows).data)
 
 
 class TestArenaNumericalIdentity:

@@ -1,5 +1,7 @@
 """Unit tests for the autograd Tensor: arithmetic, reductions, shapes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -316,6 +318,27 @@ class TestTransposeGradientLayout:
         (x.T * Tensor(weights)).sum().backward()
         assert np.array_equal(x.grad, weights.T)
         assert x.grad.strides == x.data.strides
+
+
+class TestReshapeGradientAdoption:
+    """A reshape hands its input the reshaped gradient without a copy when
+    that view is C-contiguous, the layout a copy would have: the output's
+    gradient is dead once its backward returns."""
+
+    def test_backward_allocates_no_gradient_sized_copy(self):
+        x = Tensor(np.ones(1 << 20), requires_grad=True)  # 8 MiB
+        loss = x.reshape(1024, 1024).sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x.grad, np.ones(1 << 20))
+        assert x.grad.flags.c_contiguous
+        # The sum's backward allocates the one gradient-sized array and the
+        # reshape passes it on; a copy would double the peak.
+        assert peak < 1.5 * x.data.nbytes
 
 
 class TestBackwardBufferSafety:

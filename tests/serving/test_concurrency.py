@@ -91,11 +91,11 @@ class TestConcurrentForecaster:
         model = fitted.model
         model.eval()
         normalized = (windows(1)[0] - fitted.mu) / fitted.sigma
-        expected = model.forward(normalized).prediction.data.copy()
+        expected = model.forward_batch(normalized[None]).data[0].copy()
         results = {}
 
         def worker(idx):
-            outs = [model.forward(normalized).prediction.data.copy() for _ in range(4)]
+            outs = [model.forward_batch(normalized[None]).data[0].copy() for _ in range(4)]
             results[idx] = outs
 
         run_threads(worker)
@@ -111,14 +111,14 @@ class TestConcurrentForecaster:
         window = windows(1)[0]
         normalized = (window - fitted.mu) / fitted.sigma
         expected_predict = fitted.predict(window)
-        expected_graph = model.forward(normalized).prediction.data.copy()
+        expected_graph = model.forward_batch(normalized[None]).data[0].copy()
 
         def worker(idx):
             for _ in range(5):
                 if idx % 2:
                     assert np.array_equal(fitted.predict(window), expected_predict)
                 else:
-                    out = model.forward(normalized).prediction.data.copy()
+                    out = model.forward_batch(normalized[None]).data[0].copy()
                     assert np.array_equal(out, expected_graph)
 
         run_threads(worker)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import ExperimentBudget, Forecaster
+from repro.api import REGISTRY, ExperimentBudget, Forecaster
 from repro.baselines import HistoricalAverage, SVR
 from repro.data import load_city
 from repro.training import Trainer, WindowDataset
@@ -126,3 +126,52 @@ class TestEvaluation:
         overall = result.overall()
         assert 0.1 < overall["mae"] < 5.0
         assert 0.1 < overall["mape"] < 1.5
+
+
+class TestTrainingSeams:
+    """The nesting perfbench's traced ``train`` run reads.
+
+    perfbench wraps the model instance's ``forward_batch``, ``loss`` and
+    ``predict_batch`` and the trainer's ``fit``, ``validate`` and optimizer
+    ``step`` with timing spans (``perfbench/spans.Tracer.wrap``).
+    ``perfbench/layers.training_metrics`` counts optimizer steps as the
+    ``loss`` calls whose parent is ``fit``, and derives
+    ``training.forward_ms`` and ``training.loss_ms`` from the
+    ``forward_batch`` and ``loss`` calls with that parent.
+    """
+
+    def test_each_step_runs_one_forward_and_one_loss_under_fit(self):
+        model = REGISTRY.build("ST-HSL", dataset=DATASET, window=6, hidden=4, seed=0)
+        trainer = Trainer(model, batch_size=4, seed=0)
+        calls = []  # (name, name of the enclosing spied call or None)
+        stack = []
+
+        def spy(owner, attr):
+            target = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                calls.append((attr, stack[-1] if stack else None))
+                stack.append(attr)
+                try:
+                    return target(*args, **kwargs)
+                finally:
+                    stack.pop()
+
+            setattr(owner, attr, wrapper)
+
+        for attr in ("forward_batch", "loss", "predict_batch"):
+            spy(model, attr)
+        for owner, attr in ((trainer, "fit"), (trainer, "validate"), (trainer.optimizer, "step")):
+            spy(owner, attr)
+        trainer.fit(WindowDataset(DATASET, window=6), epochs=2, train_limit=8)
+
+        steps = calls.count(("step", "fit"))
+        assert steps == 4  # 2 epochs x 8 windows / batch 4
+        under_fit = [call for call in calls if call[1] == "fit" and call[0] != "validate"]
+        assert under_fit == [("forward_batch", "fit"), ("loss", "fit"), ("step", "fit")] * steps
+        assert not [call for call in calls if call[1] in ("forward_batch", "loss")]
+        predicts = [call for call in calls if call[0] == "predict_batch"]
+        assert predicts and set(predicts) == {("predict_batch", "validate")}
+        forwards = [call for call in calls if call[0] == "forward_batch"]
+        assert forwards.count(("forward_batch", "predict_batch")) == len(predicts)
+        assert len(forwards) == steps + len(predicts)
