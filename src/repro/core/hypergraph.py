@@ -76,11 +76,10 @@ class HypergraphEncoder(nn.Module):
         per-sample training consume the RNG identically.
         """
         if strategy == "shuffle":
-            b, t, _, _ = node_embeddings.shape
+            b = node_embeddings.shape[0]
             perms = np.stack([rng.permutation(self.num_nodes) for _ in range(b)])
-            batch_idx = np.arange(b, dtype=np.intp).reshape(b, 1, 1)
-            time_idx = np.arange(t, dtype=np.intp).reshape(1, t, 1)
-            corrupted = node_embeddings[batch_idx, time_idx, perms[:, None, :]]
+            order = perms.reshape(b, 1, self.num_nodes, 1)
+            corrupted = nn.take_permutation(node_embeddings, order, axis=2)
         elif strategy == "noise":
             noise = rng.standard_normal(node_embeddings.shape) * noise_scale
             corrupted = node_embeddings + Tensor(noise.astype(node_embeddings.dtype, copy=False))

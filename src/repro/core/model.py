@@ -190,14 +190,17 @@ class STHSL(ForecastModel):
                 f"(R={cfg.num_regions}, C={cfg.num_categories})"
             )
 
-        embeddings = self.embedding(windows)  # (B, R, T, C, d) view
+        # The one transpose of the window: Eq 1 reads it, and so does the
+        # first spatial layer, which folds Eq 1 into its conv.
+        counts = self.embedding.counts(windows)  # (C, B, T, R)
+        embeddings = self.embedding(counts.transpose(1, 3, 2, 0))  # (B, R, T, C, d) view
 
         # ----- Local branch: multi-view spatial-temporal convolutions -----
         local: Tensor | None = None
         if cfg.use_local:
             local = embeddings
             if self.spatial_encoder is not None:
-                local = self.spatial_encoder(local)
+                local = self.spatial_encoder(local, counts, self.embedding.type_embedding)
             if self.temporal_encoder is not None:
                 local = self.temporal_encoder(local)
 

@@ -16,6 +16,13 @@ layout of the conv kernel in :mod:`repro.nn.kernels`: the encoder reads
 :class:`~repro.core.embedding.CrimeEmbedding`'s output with a free
 reshape, and each layer hands its conv the ``(B*T, C*d, I, J)`` view,
 which the kernel reads without a copy.
+
+The first layer's input is Eq 1's embedding, rank-1 per category:
+``E[(c, k)] = X[c] · e[c, k]``.  Given the raw channel-major window ``X``
+``(C, B*T, I, J)`` and the type embedding ``e``, that layer convolves
+``X`` with the folded weight ``W̃[o, c] = Σ_k W[o, (c, k)] · e[c, k]``
+instead: the same ``W ∗ E`` from ``C`` input channels rather than
+``C*d``.  It still adds ``E`` as Eq 2's residual.
 """
 
 from __future__ import annotations
@@ -57,23 +64,47 @@ class _SpatialLayer(nn.Module):
             )
         self.drop = nn.Dropout(dropout, rng)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(
+        self, x: Tensor, counts: Tensor | None = None, type_embedding: Tensor | None = None
+    ) -> Tensor:
         """``x`` is channel-major ``(C*d, B*T, I, J)`` (batch folded into
         images); the convs see it as ``(B*T, C*d, I, J)`` images, a view
-        the conv kernel reads in place.  Returns the same layout."""
-        images = x.swapaxes(0, 1)
+        the conv kernel reads in place.  Returns the same layout.
+
+        Given ``counts``, the channel-major ``(C, B*T, I, J)`` window that
+        ``x`` embeds, and its ``(C, d)`` ``type_embedding``, the convs read
+        ``counts`` with Eq 1 folded into their weights (module docstring).
+        """
+        images = (x if counts is None else counts).swapaxes(0, 1)
         if self.cross_category:
-            out = self.conv(images)
+            out = _convolve(self.conv, images, type_embedding)
         else:
+            width = images.shape[1] // self.num_categories
             parts = []
-            for c in range(self.num_categories):
-                sl = slice(c * self.dim, (c + 1) * self.dim)
-                parts.append(self.convs[c](images[:, sl]))
+            for c, conv in enumerate(self.convs):
+                vectors = None if type_embedding is None else type_embedding[c : c + 1]
+                parts.append(_convolve(conv, images[:, c * width : (c + 1) * width], vectors))
             out = nn.concatenate(parts, axis=1)
         # Eq 2: σ(δ(W ∗ E + b) + E) — dropout inside, residual, LeakyReLU.
         # Dropout draws its mask in image order; the sum and the
         # activation run on contiguous channel-major memory.
         return (self.drop(out).swapaxes(0, 1) + x).leaky_relu(self.leaky_slope)
+
+
+def _convolve(conv: nn.Conv2d, images: Tensor, type_embedding: Tensor | None) -> Tensor:
+    """``conv`` over ``images``; with ``type_embedding`` ``e`` ``(C, d)``,
+    over the raw ``(N, C, I, J)`` counts with ``W̃[o, c] = Σ_k W[o, (c, k)]
+    · e[c, k]``, formed with Tensor ops so gradients reach ``W`` and ``e``.
+
+    The folded conv calls :func:`repro.nn.conv2d` directly: ``conv``'s own
+    ``forward`` describes a ``C*d``-channel conv, which this is not.
+    """
+    if type_embedding is None:
+        return conv(images)
+    c_out, _, kh, kw = conv.weight.shape
+    c, d = type_embedding.shape
+    weight = conv.weight.reshape(c_out, c, d, kh, kw) * type_embedding.reshape(1, c, d, 1, 1)
+    return nn.conv2d(images, weight.sum(axis=2), conv.bias, padding=conv.padding)
 
 
 class SpatialConvEncoder(nn.Module):
@@ -106,15 +137,24 @@ class SpatialConvEncoder(nn.Module):
             ]
         )
 
-    def forward(self, embeddings: Tensor) -> Tensor:
+    def forward(
+        self,
+        embeddings: Tensor,
+        counts: np.ndarray | None = None,
+        type_embedding: Tensor | None = None,
+    ) -> Tensor:
         """Encode ``(B, R, T, C, d)`` embeddings into ``H^(R)`` of the same shape.
 
         The windows share one conv invocation by folding the batch into
         the image axis, channel-major: ``(C*d, B*T, I, J)``.  The output
-        is a view over that memory.
+        is a view over that memory.  ``counts``, the channel-major
+        ``(C, B, T, R)`` window the embeddings were made from
+        (:meth:`~repro.core.embedding.CrimeEmbedding.counts`), and
+        ``type_embedding`` let the first layer fold Eq 1 into its conv.
         """
         b, r, t, c, d = embeddings.shape
         image = embeddings.transpose(3, 4, 0, 2, 1).reshape(c * d, b * t, self.rows, self.cols)
-        for layer in self.layers:
-            image = layer(image)
+        raw = None if counts is None else Tensor(counts.reshape(c, b * t, self.rows, self.cols))
+        for i, layer in enumerate(self.layers):
+            image = layer(image, raw, type_embedding) if i == 0 else layer(image)
         return image.reshape(c, d, b, t, r).transpose(2, 4, 3, 0, 1)

@@ -47,6 +47,7 @@ from .tensor import (
     no_grad,
     set_default_dtype,
     stack,
+    take_permutation,
     where,
 )
 
@@ -59,6 +60,7 @@ __all__ = [
     "dtype_scope",
     "concatenate",
     "stack",
+    "take_permutation",
     "where",
     "BufferArena",
     "use_arena",

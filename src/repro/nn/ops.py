@@ -19,8 +19,8 @@ the kernel: argument checks, the output size, dtype promotion, the
 layout swap, autograd graph construction and the bias gradient.
 
 :func:`time_conv` is paper Eq. 5's convolution: one shared kernel slid
-along axis 1 of a time-major ``(B, T, ..., d)`` tensor, as per-tap
-shifted adds of whole time slices, with its own backward.
+along axis 1 of a time-major ``(B, T, ..., d)`` tensor, run as one
+banded ``(T, T)`` gemm per window, with its own backward.
 
 Grad mode and the workspace-supplying arena are read through the
 thread-local :class:`~repro.nn.context.ExecutionContext` (via
@@ -30,6 +30,8 @@ never observe each other's ``no_grad``/``use_arena`` scopes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -212,38 +214,20 @@ def conv1d(
     return Tensor._make(out_data, parents, backward)
 
 
-def _time_taps(length: int, k: int):
-    """Yield ``(tap, dst, src)`` for each tap of a "same" ``k``-tap kernel
-    that reaches into a length-``length`` axis: ``out[dst] += V[tap] * x[src]``.
+def _band(taps: np.ndarray, length: int) -> np.ndarray:
+    """The ``(T, T)`` matrix ``A`` of a "same" ``K``-tap kernel, so that
+    ``out[b] = A @ x[b]``: ``A[t, s] = V[s - t + K // 2]`` where that tap
+    exists, else zero.
 
-    The bounds are clamped, so a tap shifted past the whole axis
-    (``length <= k // 2``) is skipped rather than sliced with a negative
-    bound, which numpy would count from the end.
+    The zeros past either end of the time axis are the "same" padding: a
+    tap that reaches past the axis has no entry, and a kernel longer than
+    ``T`` simply leaves its outer taps off the band.
     """
-    half = k // 2
-    for tap in range(k):
-        shift = tap - half
-        lo, hi = max(0, -shift), min(length, length - shift)
-        if lo < hi:
-            yield tap, slice(lo, hi), slice(lo + shift, hi + shift)
-
-
-def _shifted_adds(
-    out: np.ndarray, data: np.ndarray, taps: np.ndarray, product: np.ndarray, adjoint: bool
-) -> None:
-    """``out[:, dst] += taps[tap] * data[:, src]`` for every tap, in tap order.
-
-    ``adjoint`` swaps ``dst`` and ``src`` (the input gradient).  Each
-    product goes through the flat ``product`` workspace, which holds at
-    least ``data.size`` elements.
-    """
-    for tap, dst, src in _time_taps(out.shape[1], taps.size):
-        if adjoint:
-            dst, src = src, dst
-        window = data[:, src]
-        scaled = product[: window.size].reshape(window.shape)
-        np.multiply(window, taps[tap], out=scaled)
-        out[:, dst] += scaled
+    lag = np.arange(length) - np.arange(length)[:, None] + taps.size // 2
+    on_band = (lag >= 0) & (lag < taps.size)
+    band = np.zeros((length, length), dtype=taps.dtype)
+    band[on_band] = taps[lag[on_band]]
+    return band
 
 
 def time_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -257,19 +241,26 @@ def time_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     ``kernel`` holds the ``K`` taps of ``V`` in any shape (ST-HSL keeps
     the ``(1, 1, K)`` of a one-channel conv1d weight); ``bias`` is ``c``,
-    shaped ``(d,)``.  The taps are added to a zeroed output in order,
-    then the bias.  Under ``no_grad`` the output and the per-tap product
-    come from the active arena; the graph path runs the same arithmetic
-    into fresh buffers, so the two agree bit for bit.
+    shaped ``(d,)``.  Each window is one gemm, ``out[b] = A @ x[b]`` over
+    its ``(T, M)`` matrix, ``A`` the banded matrix of :func:`_band`; the
+    bias is then added through the flat ``(B*T, M)`` view as one tiled
+    row, which keeps the add's inner loop ``M`` long rather than ``d``.
+    Under ``no_grad`` the output comes from the active arena; the graph
+    path runs the same arithmetic into a fresh buffer, so the two agree
+    bit for bit.  The backward is ``gx[b] = A.T @ g[b]``; ``V``'s
+    gradient is read off the diagonals of ``sum_b g[b] @ x[b].T``, tap
+    ``k`` from the one at offset ``k - K // 2``.
     """
     x_data, taps, c = _promote(x, kernel, bias)
     taps = taps.reshape(-1)
+    b, t = x_data.shape[:2]
+    m = math.prod(x_data.shape[2:])
+    band = _band(taps, t)
     inference = not is_grad_enabled()
     out = _workspace(x_data.shape, x_data.dtype, inference)
-    out.fill(0)
-    product = _workspace((x_data.size,), x_data.dtype, inference)
-    _shifted_adds(out, x_data, taps, product, adjoint=False)
-    out += c
+    np.matmul(band, x_data.reshape(b, t, m), out=out.reshape(b, t, m))
+    flat = out.reshape(b * t, m)
+    flat += np.tile(c, m // c.size)
     if inference:
         return Tensor._from_array(out)
 
@@ -277,14 +268,13 @@ def time_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         grad = result.grad
         if bias.requires_grad:
             Tensor._accum(bias, grad.sum(axis=tuple(range(grad.ndim - 1))), own=True)
+        g = grad.reshape(b, t, m)
         if kernel.requires_grad:
-            gv = np.zeros(taps.size, dtype=grad.dtype)
-            for tap, dst, src in _time_taps(grad.shape[1], taps.size):
-                gv[tap] = np.vdot(grad[:, dst], x_data[:, src])
+            lags = np.matmul(g, x_data.reshape(b, t, m).swapaxes(1, 2)).sum(axis=0)
+            half = taps.size // 2
+            gv = np.array([np.trace(lags, offset=k - half) for k in range(taps.size)], grad.dtype)
             Tensor._accum(kernel, gv.reshape(kernel.shape), own=True)
         if x.requires_grad:
-            gx = np.zeros(grad.shape, dtype=grad.dtype)
-            _shifted_adds(gx, grad, taps, np.empty(grad.size, grad.dtype), adjoint=True)
-            Tensor._accum(x, gx, own=True)
+            Tensor._accum(x, np.matmul(band.T, g).reshape(x_data.shape), own=True)
 
     return Tensor._make(out, [x, kernel, bias], backward)

@@ -51,6 +51,7 @@ __all__ = [
     "dtype_scope",
     "concatenate",
     "stack",
+    "take_permutation",
     "where",
 ]
 
@@ -445,7 +446,8 @@ class Tensor:
 
         def backward(out: Tensor) -> None:
             Tensor._accum(self, out.grad)
-            Tensor._accum(other, -out.grad, own=True)
+            if other.requires_grad:
+                Tensor._accum(other, -out.grad, own=True)
 
         return Tensor._make(self.data - other.data, (self, other), backward)
 
@@ -459,8 +461,12 @@ class Tensor:
             return Tensor._from_array(np.multiply(a, b, out=_binary_out(a, b)))
 
         def backward(out: Tensor) -> None:
-            Tensor._accum(self, out.grad * other.data, own=True)
-            Tensor._accum(other, out.grad * self.data, own=True)
+            # Form a product only for an operand that keeps its gradient:
+            # dropout's mask, Eq 1's window and constants do not.
+            if self.requires_grad:
+                Tensor._accum(self, out.grad * other.data, own=True)
+            if other.requires_grad:
+                Tensor._accum(other, out.grad * self.data, own=True)
 
         return Tensor._make(self.data * other.data, (self, other), backward)
 
@@ -886,6 +892,24 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             Tensor._accum(tensor, np.squeeze(grad, axis=axis))
 
     return Tensor._make(np.stack([t.data for t in tensors], axis=axis), tensors, backward)
+
+
+def take_permutation(x: Tensor, order: np.ndarray, axis: int) -> Tensor:
+    """Differentiable ``np.take_along_axis(x, order, axis)`` for an
+    ``order`` whose every slice along ``axis`` is a permutation of it
+    (``order`` broadcasts over the other axes).
+
+    A permutation repeats no index, so the backward is the gather by the
+    inverse permutation, not a zero-fill and ``np.add.at`` scatter.
+    """
+    if not _CTX.grad_enabled:
+        return Tensor._from_array(np.take_along_axis(x.data, order, axis))
+
+    def backward(out: Tensor) -> None:
+        inverse = np.argsort(order, axis=axis)
+        Tensor._accum(x, np.take_along_axis(out.grad, inverse, axis), own=True)
+
+    return Tensor._make(np.take_along_axis(x.data, order, axis), (x,), backward)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:

@@ -13,6 +13,7 @@ from repro.core import (
     TemporalConvEncoder,
 )
 from repro.nn import Tensor
+from repro.nn.gradcheck import gradcheck
 
 RNG = np.random.default_rng(0)
 
@@ -100,6 +101,58 @@ class TestSpatialConvEncoder:
             separate(Tensor(x_bump)).data[..., 1, :] - separate(Tensor(x_base)).data[..., 1, :]
         ).max()
         assert delta_sep == pytest.approx(0.0, abs=1e-12)
+
+
+class TestFoldedFirstSpatialLayer:
+    """Given the raw window and the type embedding, the spatial encoder's
+    first layer convolves the ``C``-channel window with Eq 1 folded into
+    its weight; that must equal the generic layer on the ``C*d``-channel
+    embedding ``E``, and its gradients must reach the conv weight, the
+    bias and the type embedding."""
+
+    C, D = 2, 3
+
+    def _modules(self, cross_category):
+        emb = CrimeEmbedding(num_categories=self.C, dim=self.D, rng=_rng())
+        enc = SpatialConvEncoder(
+            rows=3, cols=4, num_categories=self.C, dim=self.D, kernel_size=3, num_layers=1,
+            dropout=0.0, leaky_slope=0.2, cross_category=cross_category, rng=_rng(),
+        )
+        windows = np.random.default_rng(2).standard_normal((2, 12, 5, self.C))
+        return emb, enc, windows
+
+    @staticmethod
+    def _both(emb, enc, windows):
+        embeddings = emb(windows)
+        generic = enc(embeddings)
+        folded = enc(embeddings, emb.counts(windows), emb.type_embedding)
+        return generic, folded
+
+    @pytest.mark.parametrize("cross_category", [True, False], ids=["c_conv", "wo_c_conv"])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_equals_the_generic_layer(self, cross_category, mode):
+        emb, enc, windows = self._modules(cross_category)
+        if mode == "eval":
+            enc.eval()
+            with nn.no_grad():
+                generic, folded = self._both(emb, enc, windows)
+        else:
+            enc.train()
+            generic, folded = self._both(emb, enc, windows)
+            assert folded.requires_grad
+        np.testing.assert_allclose(folded.data, generic.data, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("cross_category", [True, False], ids=["c_conv", "wo_c_conv"])
+    def test_gradcheck(self, cross_category):
+        emb, enc, windows = self._modules(cross_category)
+        layer = enc.layers[0]
+        convs = [layer.conv] if cross_category else list(layer.convs)
+        params = [p for conv in convs for p in (conv.weight, conv.bias)] + [emb.type_embedding]
+        weights = Tensor(np.random.default_rng(3).standard_normal((2, 12, 5, self.C, self.D)))
+        gradcheck(
+            lambda *_: enc(emb(windows), emb.counts(windows), emb.type_embedding) * weights,
+            params,
+        )
 
 
 class TestTemporalConvEncoder:

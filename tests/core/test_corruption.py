@@ -1,5 +1,7 @@
 """Infomax corruption-strategy tests (shuffle vs noise)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,52 @@ class TestEncoderCorruption:
         nodes = Tensor(np.zeros((1, 10, 3)))
         with pytest.raises(ValueError):
             enc.propagate_corrupt(nodes, np.random.default_rng(0), strategy="flip")
+
+
+def _add_at_calls(fn) -> int:
+    """How many times ``fn()`` calls ``np.add.at``, seen by a profile hook."""
+    calls = []
+
+    def hook(_frame, event, arg):
+        if event == "c_call" and getattr(arg, "__self__", None) is np.add and arg.__name__ == "at":
+            calls.append(arg)
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+class TestShuffleBackward:
+    """The shuffle's gather index is a permutation, so its backward is the
+    inverse gather: no ``np.add.at`` scatter, and the gradient is the one
+    the fancy-index gather's scatter gives, bitwise."""
+
+    def test_gradient_matches_the_fancy_index_gather(self):
+        rng = np.random.default_rng(2)
+        data = rng.standard_normal((2, 3, 10, 3))  # (B, T, RC, d)
+        g = rng.standard_normal(data.shape)
+        enc = HypergraphEncoder(10, 4, 0.2, np.random.default_rng(1))
+        nodes = Tensor(data, requires_grad=True)
+        corrupt = enc.propagate_corrupt(nodes, np.random.default_rng(3))
+        assert _add_at_calls(lambda: corrupt.backward(g)) == 0
+        # The same permutations, gathered by fancy index.
+        perm_rng = np.random.default_rng(3)
+        perms = np.stack([perm_rng.permutation(10) for _ in range(2)])
+        fancy = Tensor(data, requires_grad=True)
+        index = (np.arange(2).reshape(2, 1, 1), np.arange(3).reshape(1, 3, 1), perms[:, None, :])
+        enc(fancy[index]).backward(g)
+        assert np.array_equal(nodes.grad, fancy.grad)
+
+    def test_training_step_scatters_nothing(self):
+        cfg = _cfg(dropout=0.1)
+        model = STHSL(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        windows = rng.standard_normal((2, cfg.num_regions, cfg.window, cfg.num_categories))
+        targets = rng.standard_normal((2, cfg.num_regions, cfg.num_categories))
+        model.train()
+        loss = model.training_loss_batch(windows, targets)
+        assert _add_at_calls(loss.backward) == 0
+        assert all(p.grad is not None for p in model.parameters())

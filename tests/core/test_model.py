@@ -166,14 +166,20 @@ class TestInterpretation:
     def test_relevance_scores_the_hypergraph_input(self, use_local):
         # Figure 8 explains what the hypergraph consumes: the spatial ->
         # temporal encoder output, or the raw embeddings in "w/o Local".
+        # The spatial encoder's first layer convolves the raw window with
+        # Eq 1 folded into its weight, as the forward runs it.
         cfg = _cfg(use_local=use_local, use_contrastive=use_local)
         model = STHSL(cfg, seed=0)
         window = _window(cfg)
         model.eval()
         with nn.no_grad():
-            source = model.embedding(window[None])  # (1, R, T, C, d)
+            counts = model.embedding.counts(window[None])  # (C, 1, T, R)
+            source = model.embedding(counts.transpose(1, 3, 2, 0))  # (1, R, T, C, d)
             if use_local:
-                source = model.temporal_encoder(model.spatial_encoder(source))
+                type_embedding = model.embedding.type_embedding
+                source = model.temporal_encoder(
+                    model.spatial_encoder(source, counts, type_embedding)
+                )
             nodes = source.transpose(0, 2, 1, 3, 4).reshape(cfg.window, -1, cfg.dim)
         np.testing.assert_array_equal(
             model.hyperedge_relevance(window), model.hypergraph.relevance(nodes)
@@ -190,7 +196,10 @@ class TestConvSeams:
     """The encoders call each layer's ``conv`` with an ``(N, C_in, *spatial)``
     input, the contract ``perfbench/layers._conv_flops`` reads FLOPs from
     (``args[0].shape``), and that input is a view over channel-major
-    memory, which the conv kernel reads without a copy."""
+    memory, which the conv kernel reads without a copy.  The first spatial
+    layer instead calls ``nn.conv2d`` on the raw window, Eq 1 folded into
+    its weight, so ``_conv_flops`` (which reads the ``C*d`` input channels
+    of ``conv.weight``) never sees that ``C``-channel conv."""
 
     @pytest.mark.parametrize("grad", [True, False], ids=["forward_batch", "predict_batch"])
     def test_convs_get_channel_major_views(self, monkeypatch, grad):
@@ -201,21 +210,34 @@ class TestConvSeams:
         calls = []
         for conv in (nn.Conv2d, nn.Conv1d):
             monkeypatch.setattr(conv, "forward", self._spy(conv.forward, conv.__name__, calls))
+        folded = []
+        monkeypatch.setattr(nn, "conv2d", self._folded_spy(nn.conv2d, folded))
         windows = np.random.default_rng(0).standard_normal((b, rows * cols, t, c))
         if grad:
             model.forward_batch(windows)
         else:
             model.predict_batch(windows)
         r = rows * cols
-        assert calls == [("Conv2d", (b * t, c * d, rows, cols), True)] * cfg.num_spatial_layers + [
-            ("Conv1d", (b * r, c * d, t), True)
-        ] * cfg.num_temporal_layers
+        assert calls == [("Conv2d", (b * t, c * d, rows, cols), True)] * (
+            cfg.num_spatial_layers - 1
+        ) + [("Conv1d", (b * r, c * d, t), True)] * cfg.num_temporal_layers
+        # The folded conv reads the window's channel-major (C, B*T, I, J)
+        # memory in place: the view the conv kernel takes without a copy.
+        assert folded == [((b * t, c, rows, cols), (c * d, c, 3, 3), True)]
 
     @staticmethod
     def _spy(forward, name, calls):
         def spy(conv, x):
             calls.append((name, x.shape, x.data.swapaxes(0, 1).flags.c_contiguous))
             return forward(conv, x)
+
+        return spy
+
+    @staticmethod
+    def _folded_spy(conv2d, calls):
+        def spy(x, weight, *args, **kwargs):
+            calls.append((x.shape, weight.shape, x.data.swapaxes(0, 1).flags.c_contiguous))
+            return conv2d(x, weight, *args, **kwargs)
 
         return spy
 

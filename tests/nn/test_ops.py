@@ -1,9 +1,9 @@
 """Convolution op tests: values against scipy, gradients against finite diff.
 
 ``conv1d``/``conv2d`` run one kernel (batch-folded single gemm) on every
-path and ``time_conv`` runs per-tap shifted adds, so the references are
-independent ones: ``scipy.signal.correlate2d`` and ``np.correlate`` for
-values, central differences for gradients.
+path and ``time_conv`` runs one banded gemm per window, so the
+references are independent ones: ``scipy.signal.correlate2d`` and
+``np.correlate`` for values, central differences for gradients.
 Every value case also runs on both execution paths — the graph-building
 forward and ``no_grad`` + ``use_arena`` — which must agree bit for bit,
 both as one kernel tile and as several (the ``tiles`` fixture), and with
@@ -668,6 +668,17 @@ class TestTimeConv:
         out = _both_paths(time_conv, arrays)
         assert out.shape == (3, length, 4, 2) and out.dtype == dtype
         np.testing.assert_allclose(out, _reference_time_conv(*arrays), **VALUE_TOL[dtype])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_empty_stack(self, dtype):
+        # B = 0: an empty output on both paths, and zero kernel and bias
+        # gradients.
+        arrays = _arrays(dtype, (0, 14, 4, 2), (1, 1, 3), (2,))
+        out = _both_paths(time_conv, arrays)
+        assert out.shape == (0, 14, 4, 2) and out.dtype == dtype
+        gx, gv, gc = _grads(time_conv, arrays)
+        assert gx.shape == (0, 14, 4, 2)
+        assert np.array_equal(gv, np.zeros((1, 1, 3))) and np.array_equal(gc, np.zeros(2))
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("k,length", [(3, 6), (5, 4), (7, 2)])

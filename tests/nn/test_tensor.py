@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, concatenate, no_grad, stack, where
+from repro.nn import Tensor, concatenate, no_grad, stack, take_permutation, where
 from repro.nn.gradcheck import gradcheck
 from repro.nn.tensor import unbroadcast
 
@@ -339,6 +339,93 @@ class TestReshapeGradientAdoption:
         # The sum's backward allocates the one gradient-sized array and the
         # reshape passes it on; a copy would double the peak.
         assert peak < 1.5 * x.data.nbytes
+
+
+def _backward_peak(loss: Tensor) -> int:
+    """Peak bytes traced while ``loss.backward()`` runs."""
+    tracemalloc.start()
+    try:
+        loss.backward()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestUnkeptOperandGradients:
+    """``*`` and ``-`` form no gradient for an operand that does not require
+    grad (dropout's mask, Eq 1's window, constants): ``_accum`` would drop
+    it, so forming it only costs a gradient-sized array."""
+
+    # The sum's backward materialises its gradient and the op forms x's:
+    # two gradient-sized arrays.  One formed for the constant is a third.
+    BOUND = 2.5
+
+    def test_mul_forms_no_product_for_a_constant(self):
+        x = Tensor(np.ones(1 << 20), requires_grad=True)  # 8 MiB
+        mask = np.random.default_rng(0).standard_normal(1 << 20)
+        peak = _backward_peak((x * Tensor(mask)).sum())
+        assert np.array_equal(x.grad, mask)
+        assert peak < self.BOUND * x.data.nbytes
+
+    def test_sub_forms_no_negation_for_a_constant(self):
+        x = Tensor(np.ones(1 << 20), requires_grad=True)
+        peak = _backward_peak((x - Tensor(np.ones(1 << 20))).sum())
+        assert np.array_equal(x.grad, np.ones(1 << 20))
+        assert peak < self.BOUND * x.data.nbytes
+
+    def test_kept_gradients_are_unchanged(self):
+        rng = np.random.default_rng(1)
+        a_data, b_data, g = (rng.standard_normal((3, 4)) for _ in range(3))
+        a, b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+        (a * b).backward(g)
+        assert np.array_equal(a.grad, g * b_data) and np.array_equal(b.grad, g * a_data)
+        a, b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+        (a - b).backward(g)
+        assert np.array_equal(a.grad, g) and np.array_equal(b.grad, -g)
+        # A constant on the left of the product still hands b its gradient.
+        b = Tensor(b_data, requires_grad=True)
+        (Tensor(a_data) * b).backward(g)
+        assert np.array_equal(b.grad, g * a_data)
+
+
+class TestTakePermutation:
+    """One permutation per leading index gathers like fancy indexing, and
+    its backward, the inverse gather, gives the fancy-index gradient
+    bitwise (``tests/core/test_corruption.py`` checks that no ``np.add.at``
+    runs)."""
+
+    @staticmethod
+    def _stack(seed=0):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((3, 4, 7, 2))  # (B, T, N, d)
+        perms = np.stack([rng.permutation(7) for _ in range(3)])
+        return data, perms, rng.standard_normal(data.shape)
+
+    def test_matches_the_fancy_index_gather_and_its_gradient(self):
+        data, perms, g = self._stack()
+        fancy = Tensor(data, requires_grad=True)
+        index = (np.arange(3).reshape(3, 1, 1), np.arange(4).reshape(1, 4, 1), perms[:, None, :])
+        expected = fancy[index]
+        expected.backward(g)
+        x = Tensor(data, requires_grad=True)
+        out = take_permutation(x, perms.reshape(3, 1, 7, 1), axis=2)
+        assert np.array_equal(out.data, expected.data)
+        out.backward(g)
+        assert np.array_equal(x.grad, fancy.grad)
+
+    def test_no_grad_matches_the_graph_path(self):
+        data, perms, _ = self._stack(1)
+        order = perms.reshape(3, 1, 7, 1)
+        graph = take_permutation(Tensor(data, requires_grad=True), order, axis=2).data
+        with no_grad():
+            assert np.array_equal(take_permutation(Tensor(data), order, axis=2).data, graph)
+
+    def test_gradcheck(self):
+        data, perms, weights = self._stack(2)
+        gradcheck(
+            lambda x: take_permutation(x, perms.reshape(3, 1, 7, 1), axis=2) * Tensor(weights),
+            [Tensor(data, requires_grad=True)],
+        )
 
 
 class TestBackwardBufferSafety:
